@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,9 +36,12 @@ class CommandOutput:
 
 def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    # The pool may start every worker up front, however few the items, so
+    # never ask for more workers than there are items or CPUs.
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -19,10 +19,16 @@ constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition, enumerate_partitions
+
+# Largest accepted ``prod(d_i + 1) * n`` (ring monomials times degree) for
+# the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16 and
+# a few seconds of work, is admitted; one more part of size 1 is refused.
+RING_COST_BUDGET = 2**21
 
 
 class ProjectiveProduct:
@@ -240,6 +246,17 @@ def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
     return acc
 
 
+def _check_ring_cost(sigma: Partition) -> None:
+    # Pre-flight refusal, before any ring arithmetic: a huge part or many
+    # parts would otherwise run for hours (or, for a 20-digit part, never end).
+    cost = math.prod(d + 1 for d in sigma) * sigma.n
+    if cost > RING_COST_BUDGET:
+        raise ValueError(
+            f"{sigma}: prod(d_i + 1) * n = {cost} is over the ring cost budget "
+            f"{RING_COST_BUDGET}"
+        )
+
+
 def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
     """s-number of the anticanonical Calabi-Yau hypersurface indexed by sigma.
 
@@ -247,11 +264,13 @@ def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
     embedding is the restriction of the anticanonical line bundle, so
     ``s_{n-1}(N)`` pushes forward to
     ``< s_{n-1}(V) c_1(V) - c_1(V)^n , [V] >``, evaluated here purely by
-    ring arithmetic.
+    ring arithmetic.  Raises ``ValueError`` when ``prod(d_i + 1) * n``
+    exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
     if sigma.n < 2:
         raise ValueError(f"need a partition of n >= 2, got {sigma}")
+    _check_ring_cost(sigma)
     space = ProjectiveProduct(sigma)
     n = space.n
     c1 = space.first_chern_class()
@@ -268,8 +287,11 @@ def hypersurface_chern_classes(
     ``c(N)`` is the restriction of ``c(V) / (1 + c_1(V))``.  The inverse
     series terminates because ``c_1`` is nilpotent.  Returns the ambient
     space and the list ``[c_1(N), ..., c_{n-1}(N)]`` of representatives.
+    Raises ``ValueError`` when ``prod(d_i + 1) * n`` exceeds
+    :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
+    _check_ring_cost(sigma)
     space = ProjectiveProduct(sigma)
     n = space.n
     c1 = space.first_chern_class()
@@ -291,7 +313,8 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
     classes, multiplied by the dual class ``c_1(V)`` of ``N``, against
     the ambient fundamental class.  The key ``(n - 1,)`` is the Euler
     characteristic; every key containing a part 1 pairs to zero because
-    ``c_1(N) = 0``.
+    ``c_1(N) = 0``.  Inputs over :data:`RING_COST_BUDGET` are refused
+    with ``ValueError`` before any ring arithmetic.
     """
     sigma = Partition(sigma)
     if sigma.n < 2:

@@ -17,29 +17,36 @@ from .cohomology import hypersurface_euler_characteristic, hypersurface_s_number
 from .numthy import (
     CaseTag,
     classify,
+    factorial_valuation,
     primes_upto,
     su_generator_s_number,
     valuation,
 )
 from .partitions import (
     Partition,
-    generator_partitions,
+    _iter_decreasing,
+    _min_part_sum,
+    _weighted_part_valuations,
     weighted_multinomial,
-    weighted_multinomial_valuation,
 )
 
 
 def s_number_gcd(n: int) -> int:
     """Gcd of the hypersurface s-number magnitudes over all capped partitions of n.
 
-    Folds ``math.gcd`` over every partition of ``n`` with parts at most
-    ``n - 2``; no shortcut via the predicted value is taken, so the
+    Built prime by prime: the exponent of ``p`` in the gcd is the least
+    exponent of ``p`` in any weighted multinomial of a partition of
+    ``n`` with parts at most ``n - 2``.  That exponent is ``v_p(n!)``
+    plus a sum of per-part terms ``m*v_p(m+1) - v_p(m!)``, so its
+    minimum is an exact knapsack over the part sizes, O(n**2) per prime.
+    Only primes ``p <= n`` can divide the values (every factor is at
+    most ``n``).  No shortcut via the predicted value is taken, so the
     result is an independent check against :func:`su_generator_s_number`.
     """
-    acc = 0
-    for sigma in generator_partitions(n):
-        acc = math.gcd(acc, weighted_multinomial(sigma))
-    return acc
+    return math.prod(
+        p ** (factorial_valuation(p, n) + _min_part_sum(n, _weighted_part_valuations(p, n - 2)))
+        for p in primes_upto(n)
+    )
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -85,12 +92,13 @@ class GeneratorCertificate:
         return dict(self.entries)
 
 
-def _scan_order(n: int) -> list[Partition]:
+def _scan_order(n: int) -> list[tuple[int, ...]]:
     # Fewest parts first, then lexicographic on the increasing part
     # tuples.  Partitions with few parts live in small ambient rings, so
     # certificates built from the front of this order stay cheap to
-    # re-verify through the cohomology route.
-    return sorted(generator_partitions(n), key=lambda s: (len(s), s.increasing))
+    # re-verify through the cohomology route.  Entries are the raw
+    # decreasing part tuples; only chosen ones become Partition objects.
+    return sorted(_iter_decreasing(n, n - 2), key=lambda s: (len(s), s[::-1]))
 
 
 def certificate(n: int) -> GeneratorCertificate:
@@ -113,24 +121,25 @@ def certificate(n: int) -> GeneratorCertificate:
     primes = primes_upto(n)
     target_vec = tuple(valuation(p, target) for p in primes)
     # Exponent vectors of the s-number magnitudes over the primes <= n
-    # (no larger prime can divide them), computed without big integers.
+    # (no larger prime can divide them), computed without big integers:
+    # v_p(n!) plus one per-prime table entry for each part.
+    base = tuple(factorial_valuation(p, n) for p in primes)
+    part_rows = list(zip(*(_weighted_part_valuations(p, n - 2) for p in primes)))
     vectors = [
-        tuple(weighted_multinomial_valuation(p, sigma) for p in primes)
-        for sigma in order
+        tuple(map(sum, zip(base, *map(part_rows.__getitem__, parts)))) for parts in order
     ]
 
-    for sigma, vec in zip(order, vectors):
+    for parts, vec in zip(order, vectors):
         if vec == target_vec:
-            entries = ((sigma, -1),)
+            entries = ((Partition(parts), -1),)
             return GeneratorCertificate(n=n, entries=entries, achieved=target)
 
     pair = _first_exact_pair(vectors, target_vec)
     if pair is not None:
-        i, j = pair
-        a, b = weighted_multinomial(order[i]), weighted_multinomial(order[j])
-        d, x, y = extended_gcd(a, b)
+        sigma, tau = Partition(order[pair[0]]), Partition(order[pair[1]])
+        d, x, y = extended_gcd(weighted_multinomial(sigma), weighted_multinomial(tau))
         assert d == target
-        entries = ((order[i], -x), (order[j], -y))
+        entries = ((sigma, -x), (tau, -y))
         return GeneratorCertificate(n=n, entries=entries, achieved=target)
 
     return _sequential_certificate(order, target, n)
@@ -184,16 +193,16 @@ def _first_greater(sorted_indices: list[int], i: int) -> int | None:
 
 
 def _sequential_certificate(
-    order: list[Partition], target: int, n: int
+    order: list[tuple[int, ...]], target: int, n: int
 ) -> GeneratorCertificate:
     # Running extended gcd along the scan order; a value enters the
     # combination only when it strictly reduces the running gcd.
     coeffs: dict[int, int] = {0: 1}
-    running = weighted_multinomial(order[0])
+    running = weighted_multinomial(Partition(order[0]))
     for idx in range(1, len(order)):
         if running == target:
             break
-        value = weighted_multinomial(order[idx])
+        value = weighted_multinomial(Partition(order[idx]))
         d, x, y = extended_gcd(running, value)
         if d == running:
             continue
@@ -206,7 +215,7 @@ def _sequential_certificate(
             f"gcd over capped partitions of {n} is {running}, expected {target}"
         )
     entries = tuple(
-        (order[idx], -coeffs[idx]) for idx in sorted(coeffs) if coeffs[idx] != 0
+        (Partition(order[idx]), -coeffs[idx]) for idx in sorted(coeffs) if coeffs[idx] != 0
     )
     return GeneratorCertificate(n=n, entries=entries, achieved=target)
 

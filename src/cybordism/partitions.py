@@ -10,6 +10,7 @@ of those s-numbers reduces to exact partition combinatorics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -166,13 +167,33 @@ def multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
     return total
 
 
+def _weighted_part_valuations(p: int, top: int) -> list[int]:
+    # Entry m (0 <= m <= top) is what one part m adds to the exponent of
+    # p in a weighted multinomial beyond v_p(n!): m*v_p(m+1) - v_p(m!).
+    return [m * valuation(p, m + 1) - factorial_valuation(p, m) for m in range(top + 1)]
+
+
 def weighted_multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
     """Exponent of the prime ``p`` in ``weighted_multinomial(sigma)``."""
     sigma = tuple(sigma)
-    total = multinomial_valuation(p, sigma)
-    for part in sigma:
-        total += part * valuation(p, part + 1)
-    return total
+    table = _weighted_part_valuations(p, max(sigma))
+    return factorial_valuation(p, sum(sigma)) + sum(table[part] for part in sigma)
+
+
+def _min_part_sum(n: int, cost: list[int]) -> int:
+    """Least ``sum(cost[m] for m in sigma)`` over partitions sigma of n with parts <= n - 2.
+
+    Unbounded knapsack over the part sizes 1..n-2, exact and O(n**2):
+    ``best[s]`` is the least cost of a multiset of capped parts summing
+    to ``s``, which ends in some part ``m``.  ``n >= 3``, so part 1 is
+    always allowed and every ``best[s]`` exists.
+    """
+    best = [0]
+    for s in range(1, n + 1):
+        top = min(s, n - 2)
+        # best[s - m] + cost[m] for m = 1..top
+        best.append(min(map(operator.add, reversed(best[s - top : s]), cost[1 : top + 1])))
+    return best[n]
 
 
 def digit_partition(n: int, p: int) -> Partition:
@@ -249,55 +270,42 @@ def power_check(n: int) -> DivisibilityReport:
       prime-power parts is divisible exactly once.
     * ``n == p**r + 1``: same, with the witness the split of ``n`` into
       ``p`` equal prime-power parts and a single 1.
+
+    The "every capped partition" statements rest on ``scan_min``, the
+    least ``v_p`` of the multinomial over all partitions with parts at
+    most ``n - 2``.  That valuation is ``v_p(n!)`` minus a sum of
+    per-part terms, so the minimum is an exact unbounded knapsack over
+    the part sizes, O(n**2) per prime, not a walk over every partition.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     power = prime_power(n)
     successor = prime_power(n - 1)
-    scan_primes: list[tuple[int, str, Partition]] = []
     entries: list[DivisibilityEntry] = []
     for p in primes_upto(n):
         if power and power[0] == p:
-            scan_primes.append((p, "power", split_prime_power(n, p)))
+            kind, witness = "power", split_prime_power(n, p)
         elif successor and successor[0] == p:
-            scan_primes.append((p, "successor", split_prime_power_successor(n, p)))
+            kind, witness = "successor", split_prime_power_successor(n, p)
         else:
-            witness = digit_partition(n, p)
-            val = multinomial_valuation(p, witness)
-            entries.append(
-                DivisibilityEntry(
-                    prime=p,
-                    kind="coprime",
-                    witness=witness,
-                    witness_valuation=val,
-                    scan_min=None,
-                    ok=val == 0,
-                )
+            kind, witness = "coprime", digit_partition(n, p)
+        val = multinomial_valuation(p, witness)
+        if kind == "coprime":
+            scan_min, ok = None, val == 0
+        else:
+            # least v_p(n!) - sum v_p(part!) over the capped partitions
+            scan_min = factorial_valuation(p, n) + _min_part_sum(
+                n, [-factorial_valuation(p, m) for m in range(n - 1)]
             )
-    if scan_primes:
-        mins: dict[int, int | None] = {p: None for p, _, _ in scan_primes}
-        top_valuation = {p: factorial_valuation(p, n) for p, _, _ in scan_primes}
-        plist = [p for p, _, _ in scan_primes]
-        for raw in _iter_decreasing(n, n - 2):
-            for p in plist:
-                val = top_valuation[p]
-                for part in raw:
-                    if part >= p:
-                        val -= factorial_valuation(p, part)
-                cur = mins[p]
-                if cur is None or val < cur:
-                    mins[p] = val
-        for p, kind, witness in scan_primes:
-            val = multinomial_valuation(p, witness)
-            entries.append(
-                DivisibilityEntry(
-                    prime=p,
-                    kind=kind,
-                    witness=witness,
-                    witness_valuation=val,
-                    scan_min=mins[p],
-                    ok=mins[p] is not None and mins[p] >= 1 and val == 1,
-                )
+            ok = scan_min >= 1 and val == 1
+        entries.append(
+            DivisibilityEntry(
+                prime=p,
+                kind=kind,
+                witness=witness,
+                witness_valuation=val,
+                scan_min=scan_min,
+                ok=ok,
             )
-    entries.sort(key=lambda e: e.prime)
+        )
     return DivisibilityReport(n=n, entries=tuple(entries))

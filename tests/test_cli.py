@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cybordism import cli
 from cybordism.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -126,6 +127,42 @@ def test_gcd_jobs_output_identical(capsys):
     assert serial_doc["results"] == parallel_doc["results"]
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_size_is_bounded_by_items_and_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    _, serial = invoke(capsys, ["gcd", "--max", "12"])
+    _, huge = invoke(capsys, ["gcd", "--max", "12", "--jobs", "5000"])
+    assert json.loads(huge)["results"] == json.loads(serial)["results"]
+    _, few = invoke(capsys, ["power-check", "--max", "4", "--jobs", "5000"])
+    assert json.loads(few)["status"] == "pass"
+    _, one = invoke(capsys, ["gcd", "--max", "3", "--jobs", "5000"])
+    assert json.loads(one)["status"] == "pass"
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    invoke(capsys, ["gcd", "--max", "12", "--jobs", "5000"])
+    # 10 items on 4 CPUs; 2 items; a single item and an unknown CPU count
+    # run serially and open no pool
+    assert RecordingPool.sizes == [4, 2]
+
+
 def test_power_check_subcommand(capsys):
     code, doc = envelope(capsys, ["power-check", "--max", "8"])
     assert code == 0
@@ -224,6 +261,14 @@ def test_domain_error_returns_fail_envelope(capsys):
     assert code == 1
     assert doc["status"] == "fail"
     assert "error" in doc["results"]
+
+
+def test_over_budget_partition_fails_fast(capsys):
+    for command in ("s-number", "chern"):
+        code, doc = envelope(capsys, [command, "--partition", "99999999999999999999"])
+        assert code == 1
+        assert doc["status"] == "fail"
+        assert "budget" in doc["results"]["error"]
 
 
 def test_missing_input_file_fails_cleanly(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cybordism.cohomology import (
     ProjectiveProduct,
     TruncatedPolynomial,
+    _check_ring_cost,
     chern_total,
     fundamental_pairing,
     hypersurface_chern_classes,
@@ -103,6 +104,19 @@ def test_s_number_golden_values():
 def test_s_number_rejects_tiny_inputs():
     with pytest.raises(ValueError):
         hypersurface_s_number([1])
+
+
+def test_ring_cost_budget():
+    # admitted: (1,)*16 and the largest inputs the tests and the benchmark run
+    for parts in ((1,) * 16, (1,) * 13, (2,) * 6, (7, 6, 5), (10, 10), (20,)):
+        _check_ring_cost(Partition(parts))
+    for sigma in ((1,) * 17, (99999999999999999999,), (2,) * 14):
+        with pytest.raises(ValueError, match="budget"):
+            hypersurface_s_number(sigma)
+        with pytest.raises(ValueError, match="budget"):
+            hypersurface_chern_numbers(sigma)
+        with pytest.raises(ValueError, match="budget"):
+            hypersurface_euler_characteristic(sigma)
 
 
 def test_s_number_equals_negated_weighted_multinomial():

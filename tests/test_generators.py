@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from cybordism.generators import (
     certificate,
     extended_gcd,
@@ -43,12 +44,9 @@ def test_gcd_examples():
 
 
 def test_gcd_matches_plain_fold():
-    for n in range(3, 13):
-        values = [weighted_multinomial(s) for s in generator_partitions(n)]
-        expected = 0
-        for value in values:
-            expected = math.gcd(expected, value)
-        assert s_number_gcd(n) == expected
+    # the per-prime dynamic program against the exhaustive gcd fold
+    for n in range(3, 41):
+        assert s_number_gcd(n) == oracles.gcd_fold(n), n
 
 
 def test_gcd_values_from_scan():

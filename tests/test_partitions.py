@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from cybordism.numthy import primes_upto, valuation
 from cybordism.partitions import (
     Partition,
@@ -258,6 +259,18 @@ def test_power_check_passes_moderate_range():
         assert report.passed, (n, report)
         covered = {e.prime for e in report.entries}
         assert covered == set(primes_upto(n))
+
+
+def test_power_check_matches_exhaustive_scan():
+    # every field, scan_min included, against a walk over every capped partition
+    for n in range(3, 61):
+        assert power_check(n) == oracles.power_check_report(n), n
+
+
+def test_oracle_enumeration_matches_capped_partitions():
+    for n in range(3, 26):
+        walked = sorted(tuple(sorted(parts, reverse=True)) for parts in oracles.capped_partitions(n))
+        assert walked == sorted(tuple(p) for p in generator_partitions(n)), n
 
 
 def test_power_check_rejects_small_n():
