@@ -14,7 +14,6 @@ All arithmetic is exact; no floating point is used anywhere.
 """
 
 from .cohomology import (
-    ChernData,
     ProjectiveProduct,
     TruncatedPolynomial,
     chern_total,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Case",
     "CaseTag",
-    "ChernData",
     "GeneratorCertificate",
     "KSParseError",
     "KSRecord",

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +31,7 @@ STREAM_COMMANDS = {"ks-parse", "ks-filter"}
 class CommandOutput:
     results: dict
     status: str  # "pass" | "fail" | "partial"
-    table: tuple[list[str], list[list]] | None = None
+    columns: list[str] | None = None  # csv header for results["rows"]
     stream: list[dict] | None = None  # jsonl payload for ks subcommands
 
 
@@ -58,9 +59,7 @@ def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
                 "g": numthy.su_generator_s_number(n),
             }
         )
-    columns = ["n", "m1", "m2", "g"]
-    table = (columns, [[row[c] for c in columns] for row in rows])
-    return CommandOutput(results={"rows": rows}, status="pass", table=table)
+    return CommandOutput(results={"rows": rows}, status="pass", columns=["n", "m1", "m2", "g"])
 
 
 def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
@@ -80,41 +79,28 @@ def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
                 "match": match,
             }
         )
-    columns = ["partition", "multinomial", "alpha", "s_number", "match"]
-    table = (columns, [[row[c] for c in columns] for row in rows])
     return CommandOutput(
         results={"n": args.n, "rows": rows},
         status="pass" if all_match else "fail",
-        table=table,
+        columns=["partition", "multinomial", "alpha", "s_number", "match"],
     )
-
-
-def _gcd_row(n: int) -> dict:
-    tag = numthy.classify(n) if n > 3 else None
-    return {
-        "n": n,
-        "gcd": generators.s_number_gcd(n),
-        "expected": numthy.su_generator_s_number(n),
-        "case": tag.label if tag else "base",
-    }
 
 
 def _cmd_gcd(args: argparse.Namespace) -> CommandOutput:
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
-    rows = _pmap(_gcd_row, range(3, args.max + 1), args.jobs)
-    case_counts: dict[str, int] = {}
-    all_ok = True
-    for row in rows:
-        row["ok"] = row["gcd"] == row["expected"]
-        all_ok = all_ok and row["ok"]
-        case_counts[row["case"]] = case_counts.get(row["case"], 0) + 1
-    columns = ["n", "gcd", "expected", "case", "ok"]
-    table = (columns, [[row[c] for c in columns] for row in rows])
+    rows = _pmap(generators.gcd_identity_row, range(3, args.max + 1), args.jobs)
+    report = generators.GcdIdentityReport(n_max=args.max, rows=tuple(rows))
     return CommandOutput(
-        results={"rows": rows, "case_counts": case_counts},
-        status="pass" if all_ok else "fail",
-        table=table,
+        results={
+            "rows": [
+                {"n": r.n, "gcd": r.gcd_value, "expected": r.expected, "case": r.case, "ok": r.ok}
+                for r in report.rows
+            ],
+            "case_counts": report.case_counts(),
+        },
+        status="pass" if report.passed else "fail",
+        columns=["n", "gcd", "expected", "case", "ok"],
     )
 
 
@@ -156,13 +142,11 @@ def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
     sigma = parse_partition(args.partition)
     numbers = cohomology.hypersurface_chern_numbers(sigma)
     dimension = sigma.n - 1
+    # the table is built in enumerate_partitions(dimension) order
     rows = [
-        {"index": _chern_index_label(omega), "value": numbers[omega]}
-        for omega in cohomology.iter_chern_indices(dimension)
+        {"index": _chern_index_label(omega), "value": value} for omega, value in numbers.items()
     ]
     euler = numbers[Partition((dimension,))]
-    columns = ["index", "value"]
-    table = (columns, [[row[c] for c in columns] for row in rows])
     return CommandOutput(
         results={
             "partition": sigma.label,
@@ -171,13 +155,14 @@ def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
             "euler_characteristic": euler,
         },
         status="pass",
-        table=table,
+        columns=["index", "value"],
     )
 
 
-def _power_report_rows(n: int) -> list[dict]:
-    report = partitions.power_check(n)
-    return [
+def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
+    if args.max < 3:
+        raise ValueError(f"need --max >= 3, got {args.max}")
+    rows = [
         {
             "n": n,
             "prime": entry.prime,
@@ -187,22 +172,13 @@ def _power_report_rows(n: int) -> list[dict]:
             "scan_min": entry.scan_min,
             "ok": entry.ok,
         }
-        for entry in report.entries
+        for n in range(3, args.max + 1)
+        for entry in partitions.power_check(n).entries
     ]
-
-
-def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
-    if args.max < 3:
-        raise ValueError(f"need --max >= 3, got {args.max}")
-    per_n = _pmap(_power_report_rows, range(3, args.max + 1), args.jobs)
-    rows = [row for chunk in per_n for row in chunk]
-    all_ok = all(row["ok"] for row in rows)
-    columns = ["n", "prime", "kind", "witness", "witness_valuation", "scan_min", "ok"]
-    table = (columns, [[row[c] for c in columns] for row in rows])
     return CommandOutput(
         results={"rows": rows},
-        status="pass" if all_ok else "fail",
-        table=table,
+        status="pass" if all(row["ok"] for row in rows) else "fail",
+        columns=["n", "prime", "kind", "witness", "witness_valuation", "scan_min", "ok"],
     )
 
 
@@ -224,18 +200,15 @@ def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
 
 
 def _read_ks(args: argparse.Namespace) -> tuple[list[toricdata.KSRecord], list[dict]]:
-    if args.input == "-":
-        lines = sys.stdin.readlines()
-    else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
     records = []
     errors = []
-    for item in toricdata.parse_ks(lines, strict=args.strict):
-        if isinstance(item, toricdata.KSParseError):
-            errors.append({"line": item.line, "message": item.message})
-        else:
-            records.append(item)
+    source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
+    with source as handle:
+        for item in toricdata.parse_ks(handle, strict=args.strict):
+            if isinstance(item, toricdata.KSParseError):
+                errors.append({"line": item.line, "message": item.message})
+            else:
+                records.append(item)
     return records, errors
 
 
@@ -365,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("power-check", "multinomial divisibility pattern for 3 <= n <= max")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (runs serially)")
 
     p = add("polytope", "product-of-simplices polytope data and reflexivity verdict")
     p.add_argument("--partition", required=True)
@@ -403,12 +376,11 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], CommandOutput]] = {
 }
 
 
-def _render_csv(table: tuple[list[str], list[list]]) -> str:
-    columns, rows = table
+def _render_csv(columns: list[str], rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(rows)
+    writer.writerows([row[c] for c in columns] for row in rows)
     return buffer.getvalue()
 
 
@@ -442,7 +414,7 @@ def run(argv: Sequence[str]) -> int:
         return 1
 
     if args.format == "csv":
-        sys.stdout.write(_render_csv(output.table))
+        sys.stdout.write(_render_csv(output.columns, output.results["rows"]))
     elif args.format == "jsonl":
         for item in output.stream or []:
             print(json.dumps(item, sort_keys=True))

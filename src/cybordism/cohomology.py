@@ -20,15 +20,19 @@ constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, count_partitions, enumerate_partitions
 
 # Largest accepted ``prod(d_i + 1) * n`` (ring monomials times degree) for
 # the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16 and
 # a few seconds of work, is admitted; one more part of size 1 is refused.
 RING_COST_BUDGET = 2**21
+# Largest accepted ``p(n - 1) * prod(d_i + 1)**2`` for a Chern-number table:
+# p(n - 1) products of ring elements with up to ``prod(d_i + 1)`` terms
+# each.  (1,)*12 and (50,), under a minute each, are admitted; (60,), whose
+# table has p(59) = 831,820 entries, and (1,)*13 are refused.
+CHERN_TABLE_BUDGET = 2**30
 
 
 class ProjectiveProduct:
@@ -180,22 +184,6 @@ class TruncatedPolynomial:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class ChernData:
-    """Total Chern class of a space, with graded access.
-
-    ``total`` is ``1 + c_1 + c_2 + ...`` in the truncated ring; the
-    degree-0 piece is always 1.
-    """
-
-    space: ProjectiveProduct
-    total: TruncatedPolynomial
-
-    def part(self, degree: int) -> TruncatedPolynomial:
-        """The class ``c_degree`` (zero above the ring's top degree)."""
-        return self.total.graded_part(degree)
-
-
 def fundamental_pairing(x: TruncatedPolynomial) -> int:
     """Evaluate a class against the fundamental homology class of its space.
 
@@ -205,17 +193,21 @@ def fundamental_pairing(x: TruncatedPolynomial) -> int:
     return x.coefficient(x.space.top_monomial)
 
 
-def chern_total(space: ProjectiveProduct) -> ChernData:
-    """Total Chern class ``prod (1 + u_i)^{d_i + 1}`` of the tangent bundle."""
+def chern_total(space: ProjectiveProduct) -> TruncatedPolynomial:
+    """Total Chern class ``prod (1 + u_i)^{d_i + 1}`` of the tangent bundle.
+
+    The result is ``1 + c_1 + c_2 + ...`` in the truncated ring; ``c_j`` is
+    its ``graded_part(j)``, zero above the ring's top degree.
+    """
     total = space.one()
     for i, d in enumerate(space.dims):
         line = space.one() + space.generator(i)
         total = total * line ** (d + 1)
-    return ChernData(space=space, total=total)
+    return total
 
 
-def power_sum_class(chern: ChernData, j: int) -> TruncatedPolynomial:
-    """Degree-2j power-sum class from the Chern classes, by Newton's identities.
+def power_sum_class(chern: TruncatedPolynomial, j: int) -> TruncatedPolynomial:
+    """Degree-2j power-sum class from a total Chern class, by Newton's identities.
 
     Uses ``s_j = c_1 s_{j-1} - c_2 s_{j-2} + ... + (-1)^{j-1} j c_j``,
     entirely inside the truncated ring.
@@ -224,9 +216,9 @@ def power_sum_class(chern: ChernData, j: int) -> TruncatedPolynomial:
         raise ValueError(f"need j >= 1, got {j}")
     s: list[TruncatedPolynomial] = [chern.space.zero()]  # s[0] unused
     for m in range(1, j + 1):
-        acc = chern.part(m) * ((-1) ** (m - 1) * m)
+        acc = chern.graded_part(m) * ((-1) ** (m - 1) * m)
         for i in range(1, m):
-            acc = acc + chern.part(i) * s[m - i] * ((-1) ** (i - 1))
+            acc = acc + chern.graded_part(i) * s[m - i] * ((-1) ** (i - 1))
         s.append(acc)
     return s[j]
 
@@ -300,7 +292,7 @@ def hypersurface_chern_classes(
     for _ in range(n):
         term = term * (-c1)
         inverse = inverse + term
-    quotient = chern_total(space).total * inverse
+    quotient = chern_total(space) * inverse
     return space, [quotient.graded_part(j) for j in range(1, n)]
 
 
@@ -313,12 +305,21 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
     classes, multiplied by the dual class ``c_1(V)`` of ``N``, against
     the ambient fundamental class.  The key ``(n - 1,)`` is the Euler
     characteristic; every key containing a part 1 pairs to zero because
-    ``c_1(N) = 0``.  Inputs over :data:`RING_COST_BUDGET` are refused
-    with ``ValueError`` before any ring arithmetic.
+    ``c_1(N) = 0``.  Inputs over :data:`RING_COST_BUDGET`, or whose table
+    is over :data:`CHERN_TABLE_BUDGET`, are refused with ``ValueError``
+    before any ring arithmetic.
     """
     sigma = Partition(sigma)
     if sigma.n < 2:
         raise ValueError(f"need a partition of n >= 2, got {sigma}")
+    # the ring check comes first, so a huge part never reaches count_partitions
+    _check_ring_cost(sigma)
+    cost = count_partitions(sigma.n - 1) * math.prod(d + 1 for d in sigma) ** 2
+    if cost > CHERN_TABLE_BUDGET:
+        raise ValueError(
+            f"{sigma}: p(n - 1) * prod(d_i + 1)**2 = {cost} is over the Chern-table "
+            f"budget {CHERN_TABLE_BUDGET}"
+        )
     space, classes = hypersurface_chern_classes(sigma)
     n = space.n
     c1 = space.first_chern_class()
@@ -337,8 +338,3 @@ def hypersurface_euler_characteristic(sigma: Partition | Iterable[int]) -> int:
     space, classes = hypersurface_chern_classes(sigma)
     c1 = space.first_chern_class()
     return fundamental_pairing(classes[-1] * c1)
-
-
-def iter_chern_indices(dimension: int) -> Iterator[Partition]:
-    """Partitions indexing the Chern numbers of a ``dimension``-fold."""
-    return enumerate_partitions(dimension)

@@ -10,6 +10,7 @@ produces deterministic Bezout certificates witnessing it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -81,12 +82,6 @@ class GeneratorCertificate:
     n: int
     entries: tuple[tuple[Partition, int], ...]
     achieved: int
-
-    def coefficient(self, sigma: Partition) -> int:
-        for part, coeff in self.entries:
-            if part == sigma:
-                return coeff
-        return 0
 
     def as_mapping(self) -> dict[Partition, int]:
         return dict(self.entries)
@@ -171,25 +166,14 @@ def _first_exact_pair(
         best = None
         for mask in distinct:
             if mask & needed == needed:
+                # indices are appended in increasing order, so bisection applies
                 candidates = by_mask[mask]
-                j = _first_greater(candidates, i)
-                if j is not None and (best is None or j < best):
-                    best = j
+                pos = bisect.bisect_right(candidates, i)
+                if pos < len(candidates) and (best is None or candidates[pos] < best):
+                    best = candidates[pos]
         if best is not None:
             return i, best
     return None
-
-
-def _first_greater(sorted_indices: list[int], i: int) -> int | None:
-    # indices are appended in increasing order, so binary search applies
-    lo, hi = 0, len(sorted_indices)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_indices[mid] <= i:
-            lo = mid + 1
-        else:
-            hi = mid
-    return sorted_indices[lo] if lo < len(sorted_indices) else None
 
 
 def _sequential_certificate(
@@ -241,6 +225,11 @@ class GcdIdentityRow:
     def ok(self) -> bool:
         return self.gcd_value == self.expected
 
+    @property
+    def case(self) -> str:
+        """Label of the prime-power shape of ``n``; ``"base"`` for ``n = 3``."""
+        return self.tag.label if self.tag else "base"
+
 
 @dataclass(frozen=True)
 class GcdIdentityReport:
@@ -256,30 +245,33 @@ class GcdIdentityReport:
     def case_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for row in self.rows:
-            label = row.tag.label if row.tag else "base"
-            counts[label] = counts.get(label, 0) + 1
+            counts[row.case] = counts.get(row.case, 0) + 1
         return counts
+
+
+def gcd_identity_row(n: int) -> GcdIdentityRow:
+    """The gcd identity at one ``n >= 3``: computed gcd, ``g(n)`` and shape.
+
+    ``n > 3`` is attributed to its prime-power shape; ``n = 3`` is the
+    base value 48 and carries no shape.
+    """
+    return GcdIdentityRow(
+        n=n,
+        gcd_value=s_number_gcd(n),
+        expected=su_generator_s_number(n),
+        tag=classify(n) if n > 3 else None,
+    )
 
 
 def verify_gcd_identity(n_max: int) -> GcdIdentityReport:
     """Check ``s_number_gcd(n) == su_generator_s_number(n)`` for ``3 <= n <= n_max``.
 
-    Each ``n > 3`` is attributed to its prime-power shape; ``n = 3`` is
-    the base value 48 and carries no shape.
+    One :func:`gcd_identity_row` per ``n``.
     """
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
-    rows = []
-    for n in range(3, n_max + 1):
-        rows.append(
-            GcdIdentityRow(
-                n=n,
-                gcd_value=s_number_gcd(n),
-                expected=su_generator_s_number(n),
-                tag=classify(n) if n > 3 else None,
-            )
-        )
-    return GcdIdentityReport(n_max=n_max, rows=tuple(rows))
+    rows = tuple(gcd_identity_row(n) for n in range(3, n_max + 1))
+    return GcdIdentityReport(n_max=n_max, rows=rows)
 
 
 def low_dimension_table() -> dict:

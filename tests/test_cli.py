@@ -120,11 +120,12 @@ def test_gcd_subcommand(capsys):
 
 
 def test_gcd_jobs_output_identical(capsys):
-    _, serial = invoke(capsys, ["gcd", "--max", "12"])
-    _, parallel = invoke(capsys, ["gcd", "--max", "12", "--jobs", "2"])
-    serial_doc = json.loads(serial)
-    parallel_doc = json.loads(parallel)
-    assert serial_doc["results"] == parallel_doc["results"]
+    for command in ("gcd", "power-check"):
+        _, serial = invoke(capsys, [command, "--max", "12"])
+        _, parallel = invoke(capsys, [command, "--max", "12", "--jobs", "2"])
+        serial_doc = json.loads(serial)
+        parallel_doc = json.loads(parallel)
+        assert serial_doc["results"] == parallel_doc["results"], command
 
 
 class RecordingPool:
@@ -152,15 +153,18 @@ def test_pool_size_is_bounded_by_items_and_cpus(capsys, monkeypatch):
     _, serial = invoke(capsys, ["gcd", "--max", "12"])
     _, huge = invoke(capsys, ["gcd", "--max", "12", "--jobs", "5000"])
     assert json.loads(huge)["results"] == json.loads(serial)["results"]
+    assert RecordingPool.sizes == [4]
+    # power-check accepts --jobs but always runs serially
     _, few = invoke(capsys, ["power-check", "--max", "4", "--jobs", "5000"])
     assert json.loads(few)["status"] == "pass"
+    assert RecordingPool.sizes == [4]
     _, one = invoke(capsys, ["gcd", "--max", "3", "--jobs", "5000"])
     assert json.loads(one)["status"] == "pass"
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     invoke(capsys, ["gcd", "--max", "12", "--jobs", "5000"])
-    # 10 items on 4 CPUs; 2 items; a single item and an unknown CPU count
-    # run serially and open no pool
-    assert RecordingPool.sizes == [4, 2]
+    # 10 items on 4 CPUs; a single item and an unknown CPU count run
+    # serially and open no pool
+    assert RecordingPool.sizes == [4]
 
 
 def test_power_check_subcommand(capsys):
@@ -245,6 +249,24 @@ def test_ks_filter_jsonl(capsys):
     assert all(r["consistent"] for r in lines)
 
 
+def test_ks_reads_stdin(capsys, monkeypatch):
+    _, from_file = envelope(capsys, ["ks", "ranges", "--input", SAMPLE])
+    with open(SAMPLE, encoding="utf-8") as handle:
+        monkeypatch.setattr(sys, "stdin", handle)
+        code, from_stdin = envelope(capsys, ["ks", "ranges", "--input", "-"])
+    assert code == 0
+    assert from_stdin["results"] == from_file["results"]
+
+
+def test_ks_non_utf8_input_fails_cleanly(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"4 5 M:1 2 N:3 4 H:1,2 \xff\n")
+    code, doc = envelope(capsys, ["ks", "parse", "--input", str(path)])
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert "utf-8" in doc["results"]["error"]
+
+
 def test_ks_ranges_envelope(capsys):
     code, doc = envelope(capsys, ["ks", "ranges", "--input", SAMPLE])
     assert code == 0
@@ -264,8 +286,15 @@ def test_domain_error_returns_fail_envelope(capsys):
 
 
 def test_over_budget_partition_fails_fast(capsys):
-    for command in ("s-number", "chern"):
-        code, doc = envelope(capsys, [command, "--partition", "99999999999999999999"])
+    refused = [
+        ("s-number", "99999999999999999999"),
+        ("chern", "99999999999999999999"),
+        # within the ring budget, but p(n - 1) Chern numbers are too many
+        ("chern", "60"),
+        ("chern", ",".join(["1"] * 13)),
+    ]
+    for command, partition in refused:
+        code, doc = envelope(capsys, [command, "--partition", partition])
         assert code == 1
         assert doc["status"] == "fail"
         assert "budget" in doc["results"]["error"]

@@ -35,10 +35,10 @@ def test_fundamental_pairing_examples():
 
 def test_chern_total_examples():
     p3 = ProjectiveProduct([3])
-    assert chern_total(p3).total.terms == {(0,): 1, (1,): 4, (2,): 6, (3,): 4}
+    assert chern_total(p3).terms == {(0,): 1, (1,): 4, (2,): 6, (3,): 4}
 
     p11 = ProjectiveProduct([1, 1])
-    assert chern_total(p11).total.terms == {
+    assert chern_total(p11).terms == {
         (0, 0): 1,
         (1, 0): 2,
         (0, 1): 2,
@@ -46,7 +46,7 @@ def test_chern_total_examples():
     }
 
     p21 = ProjectiveProduct([2, 1])
-    c1 = chern_total(p21).part(1)
+    c1 = chern_total(p21).graded_part(1)
     assert c1.terms == {(1, 0): 3, (0, 1): 2}
     assert c1 == p21.first_chern_class()
 
@@ -54,14 +54,14 @@ def test_chern_total_examples():
 def test_chern_total_degree_zero_is_one():
     for dims in ((1,), (3,), (2, 1), (2, 2), (1, 1, 1)):
         space = ProjectiveProduct(dims)
-        assert chern_total(space).part(0) == space.one()
+        assert chern_total(space).graded_part(0) == space.one()
 
 
 def test_power_sum_base_case_is_first_chern_class():
     for dims in ((3,), (2, 1), (1, 1, 1)):
         space = ProjectiveProduct(dims)
         chern = chern_total(space)
-        assert power_sum_class(chern, 1) == chern.part(1)
+        assert power_sum_class(chern, 1) == chern.graded_part(1)
 
 
 def test_power_sum_on_projective_space():
@@ -76,7 +76,7 @@ def test_power_sum_on_projective_space():
 def test_power_sum_vanishes_on_p1_squared():
     p11 = ProjectiveProduct([1, 1])
     chern = chern_total(p11)
-    c1, c2 = chern.part(1), chern.part(2)
+    c1, c2 = chern.graded_part(1), chern.graded_part(2)
     symbolic = c1 * c1 - c2 * 2
     assert power_sum_class(chern, 2) == symbolic
     assert symbolic.is_zero()
@@ -108,7 +108,7 @@ def test_s_number_rejects_tiny_inputs():
 
 def test_ring_cost_budget():
     # admitted: (1,)*16 and the largest inputs the tests and the benchmark run
-    for parts in ((1,) * 16, (1,) * 13, (2,) * 6, (7, 6, 5), (10, 10), (20,)):
+    for parts in ((1,) * 16, (1,) * 13, (2,) * 6, (7, 6, 5), (10, 10), (20,), (60,)):
         _check_ring_cost(Partition(parts))
     for sigma in ((1,) * 17, (99999999999999999999,), (2,) * 14):
         with pytest.raises(ValueError, match="budget"):
@@ -117,6 +117,10 @@ def test_ring_cost_budget():
             hypersurface_chern_numbers(sigma)
         with pytest.raises(ValueError, match="budget"):
             hypersurface_euler_characteristic(sigma)
+    # within the ring budget, but the table of p(n - 1) Chern numbers is not
+    for sigma in ((60,), (1,) * 13):
+        with pytest.raises(ValueError, match="Chern-table budget"):
+            hypersurface_chern_numbers(sigma)
 
 
 def test_s_number_equals_negated_weighted_multinomial():
