@@ -21,7 +21,6 @@ from .cohomology import (
     hypersurface_chern_numbers,
     hypersurface_euler_characteristic,
     hypersurface_s_number,
-    power_sum_class,
     power_sum_direct,
 )
 from .generators import (
@@ -98,7 +97,6 @@ __all__ = [
     "partition_polytope",
     "polar_dual",
     "power_check",
-    "power_sum_class",
     "power_sum_direct",
     "product",
     "reverify_certificate",

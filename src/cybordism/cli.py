@@ -13,12 +13,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import cohomology, generators, numthy, partitions, toricdata
 from .partitions import Partition, parse_partition
@@ -33,17 +31,6 @@ class CommandOutput:
     status: str  # "pass" | "fail" | "partial"
     columns: list[str] | None = None  # csv header for results["rows"]
     stream: list[dict] | None = None  # jsonl payload for ks subcommands
-
-
-def _pmap(fn: Callable, items: Iterable, jobs: int) -> list:
-    items = list(items)
-    # The pool may start every worker up front, however few the items, so
-    # never ask for more workers than there are items or CPUs.
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
@@ -89,8 +76,7 @@ def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
 def _cmd_gcd(args: argparse.Namespace) -> CommandOutput:
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
-    rows = _pmap(generators.gcd_identity_row, range(3, args.max + 1), args.jobs)
-    report = generators.GcdIdentityReport(n_max=args.max, rows=tuple(rows))
+    report = generators.verify_gcd_identity(args.max)
     return CommandOutput(
         results={
             "rows": [
@@ -325,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gcd", "verify the gcd identity with prime-power case attribution")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (runs serially)")
 
     p = add("certificate", "integer generator certificate with independent recheck")
     p.add_argument("--n", type=int, required=True)

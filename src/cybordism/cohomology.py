@@ -206,29 +206,12 @@ def chern_total(space: ProjectiveProduct) -> TruncatedPolynomial:
     return total
 
 
-def power_sum_class(chern: TruncatedPolynomial, j: int) -> TruncatedPolynomial:
-    """Degree-2j power-sum class from a total Chern class, by Newton's identities.
-
-    Uses ``s_j = c_1 s_{j-1} - c_2 s_{j-2} + ... + (-1)^{j-1} j c_j``,
-    entirely inside the truncated ring.
-    """
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
-    s: list[TruncatedPolynomial] = [chern.space.zero()]  # s[0] unused
-    for m in range(1, j + 1):
-        acc = chern.graded_part(m) * ((-1) ** (m - 1) * m)
-        for i in range(1, m):
-            acc = acc + chern.graded_part(i) * s[m - i] * ((-1) ** (i - 1))
-        s.append(acc)
-    return s[j]
-
-
 def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
     """Degree-2j power sum ``sum (d_i + 1) u_i^j`` of the tangent line classes.
 
     The tangent bundle of the product splits stably into ``d_i + 1``
-    hyperplane lines per factor; summing their j-th powers directly gives
-    an oracle independent of the Newton-identity route.
+    hyperplane lines per factor, so the power sum is read off directly,
+    with no Newton identities on the total Chern class.
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
@@ -239,8 +222,12 @@ def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
 
 
 def _check_ring_cost(sigma: Partition) -> None:
-    # Pre-flight refusal, before any ring arithmetic: a huge part or many
-    # parts would otherwise run for hours (or, for a 20-digit part, never end).
+    # Pre-flight refusal, before any ring arithmetic, shared by every
+    # hypersurface evaluator: n < 2 has no hypersurface to evaluate, and a
+    # huge part or many parts would otherwise run for hours (or, for a
+    # 20-digit part, never end).
+    if sigma.n < 2:
+        raise ValueError(f"need a partition of n >= 2, got {sigma}")
     cost = math.prod(d + 1 for d in sigma) * sigma.n
     if cost > RING_COST_BUDGET:
         raise ValueError(
@@ -256,12 +243,10 @@ def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
     embedding is the restriction of the anticanonical line bundle, so
     ``s_{n-1}(N)`` pushes forward to
     ``< s_{n-1}(V) c_1(V) - c_1(V)^n , [V] >``, evaluated here purely by
-    ring arithmetic.  Raises ``ValueError`` when ``prod(d_i + 1) * n``
-    exceeds :data:`RING_COST_BUDGET`.
+    ring arithmetic.  Raises ``ValueError`` when ``n < 2`` or when
+    ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
-    if sigma.n < 2:
-        raise ValueError(f"need a partition of n >= 2, got {sigma}")
     _check_ring_cost(sigma)
     space = ProjectiveProduct(sigma)
     n = space.n
@@ -279,8 +264,8 @@ def hypersurface_chern_classes(
     ``c(N)`` is the restriction of ``c(V) / (1 + c_1(V))``.  The inverse
     series terminates because ``c_1`` is nilpotent.  Returns the ambient
     space and the list ``[c_1(N), ..., c_{n-1}(N)]`` of representatives.
-    Raises ``ValueError`` when ``prod(d_i + 1) * n`` exceeds
-    :data:`RING_COST_BUDGET`.
+    Raises ``ValueError`` when ``n < 2`` or when ``prod(d_i + 1) * n``
+    exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
     _check_ring_cost(sigma)
@@ -305,13 +290,11 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
     classes, multiplied by the dual class ``c_1(V)`` of ``N``, against
     the ambient fundamental class.  The key ``(n - 1,)`` is the Euler
     characteristic; every key containing a part 1 pairs to zero because
-    ``c_1(N) = 0``.  Inputs over :data:`RING_COST_BUDGET`, or whose table
-    is over :data:`CHERN_TABLE_BUDGET`, are refused with ``ValueError``
-    before any ring arithmetic.
+    ``c_1(N) = 0``.  Inputs with ``n < 2``, over :data:`RING_COST_BUDGET`,
+    or whose table is over :data:`CHERN_TABLE_BUDGET` are refused with
+    ``ValueError`` before any ring arithmetic.
     """
     sigma = Partition(sigma)
-    if sigma.n < 2:
-        raise ValueError(f"need a partition of n >= 2, got {sigma}")
     # the ring check comes first, so a huge part never reaches count_partitions
     _check_ring_cost(sigma)
     cost = count_partitions(sigma.n - 1) * math.prod(d + 1 for d in sigma) ** 2
@@ -333,7 +316,10 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
 
 
 def hypersurface_euler_characteristic(sigma: Partition | Iterable[int]) -> int:
-    """Euler characteristic of the hypersurface: its top Chern number."""
+    """Euler characteristic of the hypersurface: its top Chern number.
+
+    Refuses the inputs :func:`hypersurface_chern_classes` refuses.
+    """
     sigma = Partition(sigma)
     space, classes = hypersurface_chern_classes(sigma)
     c1 = space.first_chern_class()

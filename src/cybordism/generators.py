@@ -11,7 +11,6 @@ produces deterministic Bezout certificates witnessing it.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 from .cohomology import hypersurface_euler_characteristic, hypersurface_s_number
@@ -25,29 +24,42 @@ from .numthy import (
 )
 from .partitions import (
     Partition,
+    _capped_minima,
     _iter_decreasing,
-    _min_part_sum,
     _weighted_part_valuations,
     weighted_multinomial,
 )
 
 
-def s_number_gcd(n: int) -> int:
-    """Gcd of the hypersurface s-number magnitudes over all capped partitions of n.
+def _s_number_gcds(n_max: int) -> list[int]:
+    """Entry ``n`` is :func:`s_number_gcd` of ``n``, for every ``3 <= n <= n_max``.
 
     Built prime by prime: the exponent of ``p`` in the gcd is the least
     exponent of ``p`` in any weighted multinomial of a partition of
     ``n`` with parts at most ``n - 2``.  That exponent is ``v_p(n!)``
-    plus a sum of per-part terms ``m*v_p(m+1) - v_p(m!)``, so its
-    minimum is an exact knapsack over the part sizes, O(n**2) per prime.
-    Only primes ``p <= n`` can divide the values (every factor is at
-    most ``n``).  No shortcut via the predicted value is taken, so the
-    result is an independent check against :func:`su_generator_s_number`.
+    plus a sum of per-part terms ``m*v_p(m+1) - v_p(m!)``, so one
+    knapsack table per prime (:func:`_capped_minima`) gives its minimum
+    for every ``n`` at once, O(n_max**2) per prime.  A prime ``p > n``
+    cannot divide the values for ``n`` (every factor is at most ``n``).
     """
-    return math.prod(
-        p ** (factorial_valuation(p, n) + _min_part_sum(n, _weighted_part_valuations(p, n - 2)))
-        for p in primes_upto(n)
-    )
+    if n_max < 3:
+        raise ValueError(f"need n >= 3, got {n_max}")
+    gcds = [1] * (n_max + 1)
+    for p in primes_upto(n_max):
+        minima = _capped_minima(_weighted_part_valuations(p, n_max - 2))
+        for n in range(max(p, 3), n_max + 1):
+            gcds[n] *= p ** (factorial_valuation(p, n) + minima[n])
+    return gcds
+
+
+def s_number_gcd(n: int) -> int:
+    """Gcd of the hypersurface s-number magnitudes over all capped partitions of n.
+
+    Read from the per-prime minima of :func:`_s_number_gcds`.  No
+    shortcut via the predicted value is taken, so the result is an
+    independent check against :func:`su_generator_s_number`.
+    """
+    return _s_number_gcds(n)[n]
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -249,28 +261,23 @@ class GcdIdentityReport:
         return counts
 
 
-def gcd_identity_row(n: int) -> GcdIdentityRow:
-    """The gcd identity at one ``n >= 3``: computed gcd, ``g(n)`` and shape.
-
-    ``n > 3`` is attributed to its prime-power shape; ``n = 3`` is the
-    base value 48 and carries no shape.
-    """
-    return GcdIdentityRow(
-        n=n,
-        gcd_value=s_number_gcd(n),
-        expected=su_generator_s_number(n),
-        tag=classify(n) if n > 3 else None,
-    )
-
-
 def verify_gcd_identity(n_max: int) -> GcdIdentityReport:
     """Check ``s_number_gcd(n) == su_generator_s_number(n)`` for ``3 <= n <= n_max``.
 
-    One :func:`gcd_identity_row` per ``n``.
+    Every gcd comes from one shared set of per-prime tables.  ``n > 3``
+    is attributed to its prime-power shape; ``n = 3`` is the base value
+    48 and carries no shape.
     """
-    if n_max < 3:
-        raise ValueError(f"need n_max >= 3, got {n_max}")
-    rows = tuple(gcd_identity_row(n) for n in range(3, n_max + 1))
+    gcds = _s_number_gcds(n_max)
+    rows = tuple(
+        GcdIdentityRow(
+            n=n,
+            gcd_value=gcds[n],
+            expected=su_generator_s_number(n),
+            tag=classify(n) if n > 3 else None,
+        )
+        for n in range(3, n_max + 1)
+    )
     return GcdIdentityReport(n_max=n_max, rows=rows)
 
 

@@ -169,28 +169,6 @@ class CaseTag:
     def label(self) -> str:
         return self.case.value
 
-    def predicted_gcd(self) -> int:
-        """Generator s-number implied by the shape alone.
-
-        Case by case: generic n contributes 1 (even) or 2 (odd); a prime
-        power contributes its base, a prime-power successor the base of
-        n - 1, and odd n carry an extra factor of 2.
-        """
-        c = self.case
-        if c is Case.GENERIC:
-            return 1 if self.even else 2
-        if c is Case.POWER_SUCCESSOR_EVEN:
-            return 2 * self.q  # p == 2
-        if c is Case.POWER_SUCCESSOR_ODD:
-            return 4 * self.p  # q == 2
-        if c is Case.POWER_EVEN:
-            return 2  # p == 2
-        if c is Case.POWER_ODD:
-            return 2 * self.p
-        if c is Case.SUCCESSOR_EVEN:
-            return self.q
-        return 4  # SUCCESSOR_ODD, q == 2
-
 
 def classify(n: int) -> CaseTag:
     """Assign ``n > 3`` its unique prime-power shape.

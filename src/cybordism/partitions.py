@@ -67,9 +67,6 @@ class Partition(tuple):
     def __str__(self) -> str:
         return f"({self.label})"
 
-    def __reduce__(self):
-        return (Partition, (tuple(self),))
-
 
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated part list such as ``"1,1,3"``."""
@@ -180,20 +177,26 @@ def weighted_multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
     return factorial_valuation(p, sum(sigma)) + sum(table[part] for part in sigma)
 
 
-def _min_part_sum(n: int, cost: list[int]) -> int:
-    """Least ``sum(cost[m] for m in sigma)`` over partitions sigma of n with parts <= n - 2.
+def _capped_minima(cost: list[int]) -> list[int | None]:
+    """Least ``sum(cost[m] for m in sigma)`` over the partitions sigma of n with parts <= n - 2.
 
-    Unbounded knapsack over the part sizes 1..n-2, exact and O(n**2):
-    ``best[s]`` is the least cost of a multiset of capped parts summing
-    to ``s``, which ends in some part ``m``.  ``n >= 3``, so part 1 is
-    always allowed and every ``best[s]`` exists.
+    Entry ``n`` of the result is that minimum for every ``3 <= n <=
+    len(cost) + 1`` (``cost[0]`` is unused; entries 0..2 are ``None``).
+    One unrestricted knapsack ``best[s]``, the least cost over all
+    partitions of ``s``, serves every ``n``: a partition of ``n`` with
+    parts at most ``n - 2`` is either all ones, or holds some part ``m``
+    in ``2..n-2`` beside an arbitrary partition of ``n - m``.  Exact and
+    O(len(cost)**2) in all.
     """
     best = [0]
-    for s in range(1, n + 1):
-        top = min(s, n - 2)
-        # best[s - m] + cost[m] for m = 1..top
-        best.append(min(map(operator.add, reversed(best[s - top : s]), cost[1 : top + 1])))
-    return best[n]
+    for s in range(1, len(cost)):
+        # cost[m] + best[s - m] for m = 1..s
+        best.append(min(map(operator.add, cost[1 : s + 1], reversed(best))))
+    return [None, None, None] + [
+        # all ones, or cost[m] + best[n - m] for m = 2..n-2
+        min([n * cost[1], *map(operator.add, cost[2 : n - 1], reversed(best[2 : n - 1]))])
+        for n in range(3, len(cost) + 2)
+    ]
 
 
 def digit_partition(n: int, p: int) -> Partition:
@@ -274,8 +277,9 @@ def power_check(n: int) -> DivisibilityReport:
     The "every capped partition" statements rest on ``scan_min``, the
     least ``v_p`` of the multinomial over all partitions with parts at
     most ``n - 2``.  That valuation is ``v_p(n!)`` minus a sum of
-    per-part terms, so the minimum is an exact unbounded knapsack over
-    the part sizes, O(n**2) per prime, not a walk over every partition.
+    per-part terms, so the minimum comes from one knapsack over the part
+    sizes (:func:`_capped_minima`), O(n**2) per prime, not a walk over
+    every partition.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -294,9 +298,9 @@ def power_check(n: int) -> DivisibilityReport:
             scan_min, ok = None, val == 0
         else:
             # least v_p(n!) - sum v_p(part!) over the capped partitions
-            scan_min = factorial_valuation(p, n) + _min_part_sum(
-                n, [-factorial_valuation(p, m) for m in range(n - 1)]
-            )
+            scan_min = factorial_valuation(p, n) + _capped_minima(
+                [-factorial_valuation(p, m) for m in range(n - 1)]
+            )[n]
             ok = scan_min >= 1 and val == 1
         entries.append(
             DivisibilityEntry(

@@ -4,7 +4,9 @@ The library finds its minima over the capped partitions of n (every part
 at most n - 2) with per-prime dynamic programs.  The oracles here walk
 every capped partition explicitly instead, with their own enumeration
 and arithmetic, so agreement checks the dynamic programs against an
-exhaustive scan.
+exhaustive scan.  Two more routes live here because only the tests use
+them: the power-sum classes from Newton's identities on the total Chern
+class, and ``g(n)`` read off the prime-power shape of ``n``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from cybordism.numthy import factorial_valuation, prime_power, primes_upto, valuation
+from cybordism.cohomology import TruncatedPolynomial
+from cybordism.numthy import (
+    Case,
+    CaseTag,
+    factorial_valuation,
+    prime_power,
+    primes_upto,
+    valuation,
+)
 from cybordism.partitions import (
     DivisibilityEntry,
     DivisibilityReport,
@@ -99,3 +109,43 @@ def power_check_report(n: int) -> DivisibilityReport:
             ok = low >= 1 and val == 1
         entries.append(DivisibilityEntry(p, kind, witness, val, low, ok))
     return DivisibilityReport(n=n, entries=tuple(entries))
+
+
+def power_sum_class(chern: TruncatedPolynomial, j: int) -> TruncatedPolynomial:
+    """Degree-2j power-sum class from a total Chern class, by Newton's identities.
+
+    Uses ``s_j = c_1 s_{j-1} - c_2 s_{j-2} + ... + (-1)^{j-1} j c_j``,
+    entirely inside the truncated ring.
+    """
+    if j < 1:
+        raise ValueError(f"need j >= 1, got {j}")
+    s: list[TruncatedPolynomial] = [chern.space.zero()]  # s[0] unused
+    for m in range(1, j + 1):
+        acc = chern.graded_part(m) * ((-1) ** (m - 1) * m)
+        for i in range(1, m):
+            acc = acc + chern.graded_part(i) * s[m - i] * ((-1) ** (i - 1))
+        s.append(acc)
+    return s[j]
+
+
+def predicted_gcd(tag: CaseTag) -> int:
+    """Generator s-number implied by the prime-power shape alone.
+
+    Case by case: generic n contributes 1 (even) or 2 (odd); a prime
+    power contributes its base, a prime-power successor the base of
+    n - 1, and odd n carry an extra factor of 2.
+    """
+    c = tag.case
+    if c is Case.GENERIC:
+        return 1 if tag.even else 2
+    if c is Case.POWER_SUCCESSOR_EVEN:
+        return 2 * tag.q  # p == 2
+    if c is Case.POWER_SUCCESSOR_ODD:
+        return 4 * tag.p  # q == 2
+    if c is Case.POWER_EVEN:
+        return 2  # p == 2
+    if c is Case.POWER_ODD:
+        return 2 * tag.p
+    if c is Case.SUCCESSOR_EVEN:
+        return tag.q
+    return 4  # SUCCESSOR_ODD, q == 2

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -120,51 +121,39 @@ def test_gcd_subcommand(capsys):
 
 
 def test_gcd_jobs_output_identical(capsys):
+    # --jobs is accepted and echoed, but every run is serial
     for command in ("gcd", "power-check"):
         _, serial = invoke(capsys, [command, "--max", "12"])
         _, parallel = invoke(capsys, [command, "--max", "12", "--jobs", "2"])
         serial_doc = json.loads(serial)
         parallel_doc = json.loads(parallel)
         assert serial_doc["results"] == parallel_doc["results"], command
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs serially."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_pool_size_is_bounded_by_items_and_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    _, serial = invoke(capsys, ["gcd", "--max", "12"])
-    _, huge = invoke(capsys, ["gcd", "--max", "12", "--jobs", "5000"])
-    assert json.loads(huge)["results"] == json.loads(serial)["results"]
-    assert RecordingPool.sizes == [4]
-    # power-check accepts --jobs but always runs serially
+        assert parallel_doc["parameters"]["jobs"] == 2, command
+    for n_max in ("12", "3"):
+        _, serial = invoke(capsys, ["gcd", "--max", n_max])
+        code, huge = invoke(capsys, ["gcd", "--max", n_max, "--jobs", "5000"])
+        assert code == 0
+        assert json.loads(huge)["results"] == json.loads(serial)["results"], n_max
     _, few = invoke(capsys, ["power-check", "--max", "4", "--jobs", "5000"])
     assert json.loads(few)["status"] == "pass"
-    assert RecordingPool.sizes == [4]
-    _, one = invoke(capsys, ["gcd", "--max", "3", "--jobs", "5000"])
-    assert json.loads(one)["status"] == "pass"
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    invoke(capsys, ["gcd", "--max", "12", "--jobs", "5000"])
-    # 10 items on 4 CPUs; a single item and an unknown CPU count run
-    # serially and open no pool
-    assert RecordingPool.sizes == [4]
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the CLI runs every command serially, so importing it must not pull in
+    # the process-pool modules (about a third of its start-up time)
+    probe = (
+        "import cybordism.cli, sys; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_power_check_subcommand(capsys):

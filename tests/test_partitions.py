@@ -4,13 +4,14 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from cybordism.numthy import primes_upto, valuation
 from cybordism.partitions import (
     Partition,
+    _capped_minima,
     count_partitions,
     digit_partition,
     enumerate_partitions,
@@ -265,6 +266,18 @@ def test_power_check_matches_exhaustive_scan():
     # every field, scan_min included, against a walk over every capped partition
     for n in range(3, 61):
         assert power_check(n) == oracles.power_check_report(n), n
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=17, max_size=17))
+def test_capped_minima_match_exhaustive_scan(cost):
+    # one table serves n = 3..18; entry n must be the least part-cost sum
+    # over every partition of n with parts at most n - 2
+    minima = _capped_minima(cost)
+    assert len(minima) == 19
+    for n in range(3, 19):
+        walked = min(sum(cost[m] for m in parts) for parts in oracles.capped_partitions(n))
+        assert minima[n] == walked, (n, cost)
 
 
 def test_oracle_enumeration_matches_capped_partitions():
