@@ -23,6 +23,13 @@ from .partitions import Partition, parse_partition
 
 TABLE_COMMANDS = {"gn", "alpha", "gcd", "power-check", "chern"}
 STREAM_COMMANDS = {"ks-parse", "ks-filter"}
+# Largest accepted --max of the per-n loops: gn at 10^5 takes about 2 s and
+# 131 MB, power-check at 400 about 1.3 s and 50 MB (2-core VM).
+GN_MAX = 100_000
+POWER_CHECK_MAX = 400
+# Largest --n for which alpha builds the all-ones partition to check it
+# against the ring budget; every n >= 17 is refused either way.
+ALPHA_MAX_N = 100
 
 
 @dataclass
@@ -36,6 +43,8 @@ class CommandOutput:
 def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
+    if args.max > GN_MAX:
+        raise ValueError(f"need --max <= {GN_MAX} (the gn budget), got {args.max}")
     rows = []
     for n in range(3, args.max + 1):
         rows.append(
@@ -50,6 +59,12 @@ def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
+    if args.n > ALPHA_MAX_N:
+        raise ValueError(f"need --n <= {ALPHA_MAX_N} (the alpha budget), got {args.n}")
+    if args.n >= 3:
+        # prod(d_i + 1) <= 2**n, so the all-ones partition has the costliest
+        # ring: refuse an over-budget n on it before any ring arithmetic
+        cohomology._check_ring_cost(Partition([1] * args.n))
     rows = []
     all_match = True
     for sigma in partitions.generator_partitions(args.n):
@@ -148,6 +163,10 @@ def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
 def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
+    if args.max > POWER_CHECK_MAX:
+        raise ValueError(
+            f"need --max <= {POWER_CHECK_MAX} (the power-check budget), got {args.max}"
+        )
     rows = [
         {
             "n": n,

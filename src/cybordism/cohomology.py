@@ -20,18 +20,20 @@ constructed.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping
 
 from .partitions import Partition, count_partitions, enumerate_partitions
 
 # Largest accepted ``prod(d_i + 1) * n`` (ring monomials times degree) for
-# the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16 and
-# a few seconds of work, is admitted; one more part of size 1 is refused.
+# the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16, is
+# admitted (its s-number takes about 2 s on a 2-core VM); one more part of
+# size 1 is refused.
 RING_COST_BUDGET = 2**21
 # Largest accepted ``p(n - 1) * prod(d_i + 1)**2`` for a Chern-number table:
 # p(n - 1) products of ring elements with up to ``prod(d_i + 1)`` terms
-# each.  (1,)*12 and (50,), under a minute each, are admitted; (60,), whose
-# table has p(59) = 831,820 entries, and (1,)*13 are refused.
+# each.  (1,)*12 and (50,), about 11 s each on a 2-core VM, are admitted;
+# (60,), whose table has p(59) = 831,820 entries, and (1,)*13 are refused.
 CHERN_TABLE_BUDGET = 2**30
 
 
@@ -79,13 +81,8 @@ class ProjectiveProduct:
         return TruncatedPolynomial(self, {tuple(exps): 1})
 
     def first_chern_class(self) -> "TruncatedPolynomial":
-        """``c_1(V) = sum (d_i + 1) u_i``."""
-        terms = {}
-        for i, d in enumerate(self.dims):
-            exps = [0] * self.k
-            exps[i] = 1
-            terms[tuple(exps)] = d + 1
-        return TruncatedPolynomial(self, terms)
+        """``c_1(V) = sum (d_i + 1) u_i``, the degree-1 power sum."""
+        return power_sum_direct(self, 1)
 
 
 class TruncatedPolynomial:
@@ -103,7 +100,7 @@ class TruncatedPolynomial:
         self.terms = {
             e: c
             for e, c in terms.items()
-            if c != 0 and all(a <= cap for a, cap in zip(e, caps))
+            if c != 0 and all(map(operator.le, e, caps))
         }
 
     def is_zero(self) -> bool:
@@ -150,15 +147,9 @@ class TruncatedPolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                dead = False
-                e = tuple(a + b for a, b in zip(e1, e2))
-                for a, cap in zip(e, caps):
-                    if a > cap:
-                        dead = True
-                        break
-                if dead:
-                    continue
-                out[e] = out.get(e, 0) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                if all(map(operator.le, e, caps)):
+                    out[e] = out.get(e, 0) + c1 * c2
         return TruncatedPolynomial(self.space, out)
 
     __rmul__ = __mul__
@@ -215,10 +206,10 @@ def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
-    acc = space.zero()
-    for i, d in enumerate(space.dims):
-        acc = acc + space.generator(i) ** j * (d + 1)
-    return acc
+    k = space.k
+    # the constructor drops u_i^j for j > d_i
+    terms = {(0,) * i + (j,) + (0,) * (k - 1 - i): d + 1 for i, d in enumerate(space.dims)}
+    return TruncatedPolynomial(space, terms)
 
 
 def _check_ring_cost(sigma: Partition) -> None:
@@ -260,25 +251,25 @@ def hypersurface_chern_classes(
 ) -> tuple[ProjectiveProduct, list[TruncatedPolynomial]]:
     """Chern classes of the hypersurface, as classes on the ambient space.
 
-    With ``nu`` the normal bundle, ``TN + nu`` restricts from ``TV``, so
-    ``c(N)`` is the restriction of ``c(V) / (1 + c_1(V))``.  The inverse
-    series terminates because ``c_1`` is nilpotent.  Returns the ambient
-    space and the list ``[c_1(N), ..., c_{n-1}(N)]`` of representatives.
+    The normal bundle of ``N`` is the restriction of the line bundle with
+    first Chern class ``c_1 = c_1(V)``, so ``c(V)|_N = c(N) (1 + c_1)``.
+    Comparing degrees gives ``c_j(N) = c_j(V) - c_1 c_{j-1}(N)`` from
+    ``c_0(N) = 1``: one product with the linear class ``c_1`` per degree.
+    Since ``1 + c_1`` is a unit, these are exactly the graded parts of
+    ``c(V) / (1 + c_1)`` in the ambient ring.  Returns the ambient space
+    and the list ``[c_1(N), ..., c_{n-1}(N)]`` of representatives.
     Raises ``ValueError`` when ``n < 2`` or when ``prod(d_i + 1) * n``
     exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
     _check_ring_cost(sigma)
     space = ProjectiveProduct(sigma)
-    n = space.n
     c1 = space.first_chern_class()
-    inverse = space.one()
-    term = space.one()
-    for _ in range(n):
-        term = term * (-c1)
-        inverse = inverse + term
-    quotient = chern_total(space) * inverse
-    return space, [quotient.graded_part(j) for j in range(1, n)]
+    total = chern_total(space)
+    classes = [space.one()]
+    for j in range(1, space.n):
+        classes.append(total.graded_part(j) - c1 * classes[-1])
+    return space, classes[1:]
 
 
 def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partition, int]:

@@ -30,6 +30,13 @@ from .partitions import (
     weighted_multinomial,
 )
 
+# Largest accepted bound of the gcd scan: O(n_max**2) knapsack work per
+# prime below it, about 5 s at 800 on a 2-core VM.
+GCD_MAX_N = 800
+# Largest accepted certificate n: the scan order holds all p(n) capped
+# partitions (about 4.7x more per 10), 4.5 s and 106 MB at n = 50.
+CERTIFICATE_MAX_N = 50
+
 
 def _s_number_gcds(n_max: int) -> list[int]:
     """Entry ``n`` is :func:`s_number_gcd` of ``n``, for every ``3 <= n <= n_max``.
@@ -44,6 +51,8 @@ def _s_number_gcds(n_max: int) -> list[int]:
     """
     if n_max < 3:
         raise ValueError(f"need n >= 3, got {n_max}")
+    if n_max > GCD_MAX_N:
+        raise ValueError(f"need n <= {GCD_MAX_N} (the gcd budget), got {n_max}")
     gcds = [1] * (n_max + 1)
     for p in primes_upto(n_max):
         minima = _capped_minima(_weighted_part_valuations(p, n_max - 2))
@@ -123,6 +132,8 @@ def certificate(n: int) -> GeneratorCertificate:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if n > CERTIFICATE_MAX_N:
+        raise ValueError(f"need n <= {CERTIFICATE_MAX_N} (the certificate budget), got {n}")
     target = su_generator_s_number(n)
     order = _scan_order(n)
     primes = primes_upto(n)

@@ -14,6 +14,7 @@ a Calabi-Yau threefold must satisfy ``chi = 2*(h11 - h21)``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -25,6 +26,11 @@ from .partitions import Partition
 # threefolds with h11 - h21 = +1 and -1 respectively.
 H11_RANGE_PLUS = (16, 90)
 H11_RANGE_MINUS = (15, 89)
+# Largest accepted ``prod(d_i + 1) * sum(d_i + 1) * n`` for a product
+# polytope: vertices times facets times dimension, the work of
+# :func:`verify_reflexive`.  (400,) and (1,)*16, about 4 s each on a
+# 2-core VM, are admitted; (1,)*17 and a 20-digit part are refused.
+POLYTOPE_COST_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,18 @@ def product(p: ReflexivePolytope, q: ReflexivePolytope) -> ReflexivePolytope:
 
 
 def partition_polytope(sigma: Partition | Iterable[int]) -> ReflexivePolytope:
-    """Product of standard simplices with the dimensions of sigma's parts."""
+    """Product of standard simplices with the dimensions of sigma's parts.
+
+    Raises ``ValueError`` before building anything when
+    ``prod(d_i + 1) * sum(d_i + 1) * n`` exceeds :data:`POLYTOPE_COST_BUDGET`.
+    """
     sigma = Partition(sigma)
+    cost = math.prod(d + 1 for d in sigma) * (sigma.n + sigma.k) * sigma.n
+    if cost > POLYTOPE_COST_BUDGET:
+        raise ValueError(
+            f"{sigma}: prod(d_i + 1) * sum(d_i + 1) * n = {cost} is over the polytope "
+            f"cost budget {POLYTOPE_COST_BUDGET}"
+        )
     return reduce(product, (standard_simplex(d) for d in sigma))
 
 

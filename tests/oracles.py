@@ -4,17 +4,20 @@ The library finds its minima over the capped partitions of n (every part
 at most n - 2) with per-prime dynamic programs.  The oracles here walk
 every capped partition explicitly instead, with their own enumeration
 and arithmetic, so agreement checks the dynamic programs against an
-exhaustive scan.  Two more routes live here because only the tests use
-them: the power-sum classes from Newton's identities on the total Chern
-class, and ``g(n)`` read off the prime-power shape of ``n``.
+exhaustive scan.  The ring routes here are the slow ones the library
+replaced: the power-sum classes from Newton's identities on the total
+Chern class, the hypersurface Chern classes from the inverse series of
+``1 + c_1``, and a product that multiplies every term pair and leaves
+truncation to the constructor.  ``g(n)`` read off the prime-power shape
+of ``n`` lives here too, because only the tests use it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from cybordism.cohomology import TruncatedPolynomial
+from cybordism.cohomology import ProjectiveProduct, TruncatedPolynomial, chern_total
 from cybordism.numthy import (
     Case,
     CaseTag,
@@ -126,6 +129,35 @@ def power_sum_class(chern: TruncatedPolynomial, j: int) -> TruncatedPolynomial:
             acc = acc + chern.graded_part(i) * s[m - i] * ((-1) ** (i - 1))
         s.append(acc)
     return s[j]
+
+
+def chern_classes_by_inverse_series(sigma: Iterable[int]) -> list[TruncatedPolynomial]:
+    """``[c_1(N), ..., c_{n-1}(N)]`` as graded parts of ``c(V) (1 + c_1)^{-1}``.
+
+    The inverse series ``1 - c_1 + c_1^2 - ...`` terminates because
+    ``c_1`` is nilpotent; it is multiplied into ``c(V)`` as one product of
+    two general ring elements.
+    """
+    space = ProjectiveProduct(sigma)
+    total = chern_total(space)
+    c1 = total.graded_part(1)
+    inverse = space.one()
+    term = space.one()
+    for _ in range(space.n):
+        term = term * (-c1)
+        inverse = inverse + term
+    quotient = total * inverse
+    return [quotient.graded_part(j) for j in range(1, space.n)]
+
+
+def uncapped_product(a: TruncatedPolynomial, b: TruncatedPolynomial) -> dict:
+    """Terms of ``a * b`` from every term pair, with no exponent-cap check."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 def predicted_gcd(tag: CaseTag) -> int:

@@ -276,14 +276,25 @@ def test_domain_error_returns_fail_envelope(capsys):
 
 def test_over_budget_partition_fails_fast(capsys):
     refused = [
-        ("s-number", "99999999999999999999"),
-        ("chern", "99999999999999999999"),
+        ["s-number", "--partition", "99999999999999999999"],
+        ["chern", "--partition", "99999999999999999999"],
         # within the ring budget, but p(n - 1) Chern numbers are too many
-        ("chern", "60"),
-        ("chern", ",".join(["1"] * 13)),
+        ["chern", "--partition", "60"],
+        ["chern", "--partition", ",".join(["1"] * 13)],
+        # the all-ones partition, checked first, is over the ring budget
+        ["alpha", "--n", "17"],
+        ["alpha", "--n", "40"],
+        ["alpha", "--n", "10000000000"],
+        # size arguments over their command's budget
+        ["gcd", "--max", "100000"],
+        ["power-check", "--max", "100000"],
+        ["gn", "--max", "10000000000"],
+        ["certificate", "--n", "200"],
+        ["polytope", "--partition", "400,400"],
+        ["polytope", "--partition", "99999999999999999999"],
     ]
-    for command, partition in refused:
-        code, doc = envelope(capsys, [command, "--partition", partition])
+    for argv in refused:
+        code, doc = envelope(capsys, argv)
         assert code == 1
         assert doc["status"] == "fail"
         assert "budget" in doc["results"]["error"]
@@ -311,15 +322,17 @@ def test_usage_errors_exit_2():
 
 
 def test_module_entry_point_end_to_end():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     command = [sys.executable, "-m", "cybordism", "gn", "--max", "4"]
-    first = subprocess.run(command, capture_output=True, text=True)
-    second = subprocess.run(command, capture_output=True, text=True)
+    first = subprocess.run(command, capture_output=True, text=True, env=env)
+    second = subprocess.run(command, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     doc = json.loads(first.stdout)
     assert doc["status"] == "pass"
 
     bad = subprocess.run(
-        [sys.executable, "-m", "cybordism", "bogus"], capture_output=True, text=True
+        [sys.executable, "-m", "cybordism", "bogus"], capture_output=True, text=True, env=env
     )
     assert bad.returncode == 2

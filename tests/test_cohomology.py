@@ -142,6 +142,14 @@ def test_hypersurface_first_chern_class_vanishes():
             assert classes[0].is_zero(), sigma
 
 
+def test_chern_classes_match_inverse_series():
+    shapes = [sigma for n in range(2, 9) for sigma in enumerate_partitions(n)]
+    shapes += [Partition(parts) for parts in ((1,) * 8, (7, 6, 5), (10, 10))]
+    for sigma in shapes:
+        _, classes = hypersurface_chern_classes(sigma)
+        assert classes == oracles.chern_classes_by_inverse_series(sigma), sigma
+
+
 def test_chern_numbers_of_k3_hypersurfaces():
     quartic = hypersurface_chern_numbers([3])
     assert quartic == {Partition([2]): 24, Partition([1, 1]): 0}
@@ -223,6 +231,7 @@ triples = spaces.flatmap(
 @given(triples)
 def test_ring_laws(triple):
     a, b, c = triple
+    assert a * b == TruncatedPolynomial(a.space, oracles.uncapped_product(a, b))
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c

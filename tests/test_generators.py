@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 from cybordism.generators import (
+    CERTIFICATE_MAX_N,
+    GCD_MAX_N,
     certificate,
     extended_gcd,
     low_dimension_table,
@@ -77,6 +79,8 @@ def test_gcd_identity_report():
 def test_gcd_identity_rejects_small_bound():
     with pytest.raises(ValueError):
         verify_gcd_identity(2)
+    with pytest.raises(ValueError, match="gcd budget"):
+        verify_gcd_identity(GCD_MAX_N + 1)
 
 
 def test_certificate_golden_pairs():
@@ -98,6 +102,8 @@ def test_certificate_golden_pairs():
 def test_certificate_rejects_small_n():
     with pytest.raises(ValueError):
         certificate(2)
+    with pytest.raises(ValueError, match="certificate budget"):
+        certificate(CERTIFICATE_MAX_N + 1)
 
 
 def test_certificates_achieve_target_and_reverify():

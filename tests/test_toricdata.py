@@ -92,6 +92,15 @@ def test_partition_polytopes_reflexive_with_counts():
             assert poly.dim == n
 
 
+def test_polytope_cost_budget():
+    # admitted: the largest benchmark shapes; refused before anything is built
+    for parts in ((2,) * 7, (1,) * 10):
+        assert partition_polytope(parts).dim == sum(parts)
+    for parts in ((1,) * 17, (400, 400), (99999999999999999999,)):
+        with pytest.raises(ValueError, match="polytope cost budget"):
+            partition_polytope(parts)
+
+
 def test_polar_dual_round_trip():
     for build in (
         lambda: standard_simplex(1),
