@@ -19,21 +19,19 @@ constructed.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Iterable, Mapping
 
-from .partitions import Partition, count_partitions, enumerate_partitions
+from .partitions import Partition, check_budget, count_partitions, enumerate_partitions
 
 # Largest accepted ``prod(d_i + 1) * n`` (ring monomials times degree) for
 # the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16, is
-# admitted (its s-number takes about 2 s on a 2-core VM); one more part of
+# admitted (its s-number takes about 1 s on a 2-core VM); one more part of
 # size 1 is refused.
 RING_COST_BUDGET = 2**21
-# Largest accepted ``p(n - 1) * prod(d_i + 1)**2`` for a Chern-number table:
-# p(n - 1) products of ring elements with up to ``prod(d_i + 1)`` terms
-# each.  (1,)*12 and (50,), about 11 s each on a 2-core VM, are admitted;
-# (60,), whose table has p(59) = 831,820 entries, and (1,)*13 are refused.
+# Largest accepted ``p(n - 1) * prod(d_i + 1)**2`` for a Chern-number table.
+# (1,)*12 and (50,), about 2 s and 1 s on a 2-core VM, are admitted; (60,),
+# with p(59) = 831,820 entries, and (1,)*13 are refused.
 CHERN_TABLE_BUDGET = 2**30
 
 
@@ -65,9 +63,6 @@ class ProjectiveProduct:
     def top_monomial(self) -> tuple[int, ...]:
         """Exponent vector of the top class ``u_1^{d_1} ... u_k^{d_k}``."""
         return tuple(self.dims)
-
-    def zero(self) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self, {})
 
     def one(self) -> "TruncatedPolynomial":
         return TruncatedPolynomial(self, {(0,) * self.k: 1})
@@ -105,9 +100,6 @@ class TruncatedPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exponents: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exponents), 0)
 
     def graded_part(self, degree: int) -> "TruncatedPolynomial":
         """Terms of total polynomial degree ``degree`` (cohomological degree 2*degree)."""
@@ -181,7 +173,7 @@ def fundamental_pairing(x: TruncatedPolynomial) -> int:
     Equals the coefficient of the top monomial ``u_1^{d_1} ... u_k^{d_k}``;
     lower-degree terms pair to zero.
     """
-    return x.coefficient(x.space.top_monomial)
+    return x.terms.get(x.space.top_monomial, 0)
 
 
 def chern_total(space: ProjectiveProduct) -> TruncatedPolynomial:
@@ -212,6 +204,15 @@ def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
     return TruncatedPolynomial(space, terms)
 
 
+def _pair(x: TruncatedPolynomial, y: TruncatedPolynomial) -> int:
+    """``<x * y, [V]>`` as ``sum x_e * y_{top - e}``: one lookup per term, not per term pair."""
+    if len(y.terms) < len(x.terms):
+        x, y = y, x
+    top = x.space.top_monomial
+    get = y.terms.get
+    return sum(c * get(tuple(map(operator.sub, top, e)), 0) for e, c in x.terms.items())
+
+
 def _check_ring_cost(sigma: Partition) -> None:
     # Pre-flight refusal, before any ring arithmetic, shared by every
     # hypersurface evaluator: n < 2 has no hypersurface to evaluate, and a
@@ -219,12 +220,8 @@ def _check_ring_cost(sigma: Partition) -> None:
     # 20-digit part, never end).
     if sigma.n < 2:
         raise ValueError(f"need a partition of n >= 2, got {sigma}")
-    cost = math.prod(d + 1 for d in sigma) * sigma.n
-    if cost > RING_COST_BUDGET:
-        raise ValueError(
-            f"{sigma}: prod(d_i + 1) * n = {cost} is over the ring cost budget "
-            f"{RING_COST_BUDGET}"
-        )
+    sizes = (*(d + 1 for d in sigma), sigma.n)
+    check_budget(sigma, "prod(d_i + 1) * n", "ring cost", RING_COST_BUDGET, sizes)
 
 
 def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
@@ -234,16 +231,19 @@ def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
     embedding is the restriction of the anticanonical line bundle, so
     ``s_{n-1}(N)`` pushes forward to
     ``< s_{n-1}(V) c_1(V) - c_1(V)^n , [V] >``, evaluated here purely by
-    ring arithmetic.  Raises ``ValueError`` when ``n < 2`` or when
-    ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
+    ring arithmetic, with ``<c_1^n, [V]>`` paired as ``c_1^a`` times
+    ``c_1^{n - a}``, ``a = ceil(n / 2)``.  Raises ``ValueError`` when
+    ``n < 2`` or when ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
     _check_ring_cost(sigma)
     space = ProjectiveProduct(sigma)
     n = space.n
     c1 = space.first_chern_class()
-    s_ambient = power_sum_direct(space, n - 1)
-    return fundamental_pairing(s_ambient * c1 - c1**n)
+    powers = [c1]  # c_1^1, ..., c_1^{ceil(n / 2)}
+    while len(powers) < n - n // 2:
+        powers.append(powers[-1] * c1)
+    return _pair(power_sum_direct(space, n - 1), c1) - _pair(powers[-1], powers[n // 2 - 1])
 
 
 def hypersurface_chern_classes(
@@ -275,34 +275,41 @@ def hypersurface_chern_classes(
 def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partition, int]:
     """All tangential Chern numbers of the hypersurface indexed by sigma.
 
-    Keys are partitions ``omega`` of ``n - 1``: the key ``(3, 1, 1)``
-    denotes the number ``c_1^2 c_3 [N]``.  Values are exact integers,
-    obtained by pairing the corresponding product of hypersurface Chern
-    classes, multiplied by the dual class ``c_1(V)`` of ``N``, against
-    the ambient fundamental class.  The key ``(n - 1,)`` is the Euler
-    characteristic; every key containing a part 1 pairs to zero because
-    ``c_1(N) = 0``.  Inputs with ``n < 2``, over :data:`RING_COST_BUDGET`,
-    or whose table is over :data:`CHERN_TABLE_BUDGET` are refused with
-    ``ValueError`` before any ring arithmetic.
+    Keys are partitions ``omega`` of ``n - 1`` in ``enumerate_partitions``
+    order: the key ``(3, 1, 1)`` denotes the number ``c_1^2 c_3 [N]``.
+    Each value pairs the product of the classes of all but the last
+    (smallest) index, shared with the previous key where their prefixes
+    agree, with the closing class ``c_last(N) c_1(V)``, ``c_1(V)`` being
+    dual to ``N``.  A zero closing class, as ``c_1(N) = 0`` is for every
+    key with a part 1, gives 0 with no product.  The key ``(n - 1,)`` is
+    the Euler characteristic.  Inputs with ``n < 2`` or over the ring or
+    Chern-table budget are refused with ``ValueError`` before any work.
     """
     sigma = Partition(sigma)
     # the ring check comes first, so a huge part never reaches count_partitions
     _check_ring_cost(sigma)
-    cost = count_partitions(sigma.n - 1) * math.prod(d + 1 for d in sigma) ** 2
-    if cost > CHERN_TABLE_BUDGET:
-        raise ValueError(
-            f"{sigma}: p(n - 1) * prod(d_i + 1)**2 = {cost} is over the Chern-table "
-            f"budget {CHERN_TABLE_BUDGET}"
-        )
+    sizes = [d + 1 for d in sigma] * 2 + [count_partitions(sigma.n - 1)]
+    check_budget(sigma, "p(n - 1) * prod(d_i + 1)**2", "Chern-table", CHERN_TABLE_BUDGET, sizes)
     space, classes = hypersurface_chern_classes(sigma)
-    n = space.n
     c1 = space.first_chern_class()
-    numbers: dict[Partition, int] = {}
-    for omega in enumerate_partitions(n - 1):
-        product = space.one()
-        for index in omega:
-            product = product * classes[index - 1]
-        numbers[omega] = fundamental_pairing(product * c1)
+    closers = [c * c1 for c in classes]
+    numbers = dict.fromkeys(enumerate_partitions(space.n - 1), 0)
+    # products[i] is the product of the classes named by prefix[:i]
+    prefix: tuple[int, ...] = ()
+    products = [space.one()]
+    for omega in numbers:
+        closer = closers[omega[-1] - 1]
+        if closer.is_zero():
+            continue
+        # prefix sums to less than omega, so they differ before omega runs out
+        shared = 0
+        while shared < len(prefix) and prefix[shared] == omega[shared]:
+            shared += 1
+        prefix = omega[:-1]
+        del products[shared + 1 :]
+        for index in prefix[shared:]:
+            products.append(products[-1] * classes[index - 1])
+        numbers[omega] = _pair(products[-1], closer)
     return numbers
 
 
@@ -311,7 +318,5 @@ def hypersurface_euler_characteristic(sigma: Partition | Iterable[int]) -> int:
 
     Refuses the inputs :func:`hypersurface_chern_classes` refuses.
     """
-    sigma = Partition(sigma)
     space, classes = hypersurface_chern_classes(sigma)
-    c1 = space.first_chern_class()
-    return fundamental_pairing(classes[-1] * c1)
+    return _pair(classes[-1], space.first_chern_class())

@@ -77,16 +77,46 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
+def check_budget(sigma: Partition, cost: str, name: str, budget: int, sizes: Iterable[int]) -> None:
+    """Refuse sigma (``ValueError``) when the positive ``sizes`` multiply past ``budget``.
+
+    The product stops once past the budget and the message names ``cost``, not its value.
+    """
+    product = 1
+    for size in sizes:
+        product *= size
+        if product > budget:
+            raise ValueError(f"{sigma}: {cost} is over the {name} budget {budget}")
+
+
 def _iter_decreasing(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
     # Raw reverse-lexicographic generator over plain tuples; hot loops
     # (full scans up to n = 60) stay clear of Partition construction.
+    # ZS1 (Zoghbi and Stojmenovic, 1998) from (top, ..., top, r): x[:m + 1]
+    # is the partition, x[h] its last part above 1, and x[h + 1:] all 1s.
     if remaining == 0:
         yield ()
         return
     top = min(remaining, max_part)
-    for first in range(top, 0, -1):
-        for rest in _iter_decreasing(remaining - first, first):
-            yield (first,) + rest
+    q, r = divmod(remaining, top)
+    x = [top] * q + [r] * (r > 0) + [1] * remaining
+    m = q - (r == 0)
+    h = m if x[m] > 1 else m - 1
+    yield tuple(x[: m + 1])
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            # lower x[h] to r and refill the tail greedily with parts r
+            r = x[h] = x[h] - 1
+            k, t = divmod(m - h + 1, r)
+            x[h + 1 : h + k + 1] = [r] * k
+            h += k
+            m = h + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[: m + 1])
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -98,8 +128,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    for raw in _iter_decreasing(n, n):
-        yield Partition(raw)
+    yield from map(Partition, _iter_decreasing(n, n))
 
 
 def count_partitions(n: int) -> int:
@@ -127,8 +156,7 @@ def generator_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    for raw in _iter_decreasing(n, n - 2):
-        yield Partition(raw)
+    yield from map(Partition, _iter_decreasing(n, n - 2))
 
 
 def multinomial(sigma: Partition) -> int:

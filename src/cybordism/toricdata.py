@@ -14,13 +14,12 @@ a Calabi-Yau threefold must satisfy ``chi = 2*(h11 - h21)``.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .partitions import Partition
+from .partitions import Partition, check_budget
 
 # Observed second Betti numbers of toric-hypersurface Calabi-Yau
 # threefolds with h11 - h21 = +1 and -1 respectively.
@@ -96,12 +95,9 @@ def partition_polytope(sigma: Partition | Iterable[int]) -> ReflexivePolytope:
     ``prod(d_i + 1) * sum(d_i + 1) * n`` exceeds :data:`POLYTOPE_COST_BUDGET`.
     """
     sigma = Partition(sigma)
-    cost = math.prod(d + 1 for d in sigma) * (sigma.n + sigma.k) * sigma.n
-    if cost > POLYTOPE_COST_BUDGET:
-        raise ValueError(
-            f"{sigma}: prod(d_i + 1) * sum(d_i + 1) * n = {cost} is over the polytope "
-            f"cost budget {POLYTOPE_COST_BUDGET}"
-        )
+    sizes = (*(d + 1 for d in sigma), sigma.n + sigma.k, sigma.n)
+    cost = "prod(d_i + 1) * sum(d_i + 1) * n"
+    check_budget(sigma, cost, "polytope cost", POLYTOPE_COST_BUDGET, sizes)
     return reduce(product, (standard_simplex(d) for d in sigma))
 
 

@@ -7,9 +7,12 @@ and arithmetic, so agreement checks the dynamic programs against an
 exhaustive scan.  The ring routes here are the slow ones the library
 replaced: the power-sum classes from Newton's identities on the total
 Chern class, the hypersurface Chern classes from the inverse series of
-``1 + c_1``, and a product that multiplies every term pair and leaves
-truncation to the constructor.  ``g(n)`` read off the prime-power shape
-of ``n`` lives here too, because only the tests use it.
+``1 + c_1``, a product that multiplies every term pair and leaves
+truncation to the constructor, and the hypersurface s-number and Chern
+numbers from full products read at the top monomial.  The recursive
+reverse-lexicographic partition generator the library replaced with an
+iterative one is here too, as is ``g(n)`` read off the prime-power shape
+of ``n``, because only the tests use it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from cybordism.cohomology import ProjectiveProduct, TruncatedPolynomial, chern_total
+from cybordism.cohomology import (
+    ProjectiveProduct,
+    TruncatedPolynomial,
+    chern_total,
+    fundamental_pairing,
+    hypersurface_chern_classes,
+    power_sum_direct,
+)
 from cybordism.numthy import (
     Case,
     CaseTag,
@@ -35,6 +45,20 @@ from cybordism.partitions import (
     split_prime_power,
     split_prime_power_successor,
 )
+
+
+def partitions_by_recursion(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``remaining`` with parts at most ``max_part``, reverse-lexicographically.
+
+    Each partition is its first part followed by a partition of the rest
+    with parts no larger, built by tuple concatenation.
+    """
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, max_part), 0, -1):
+        for rest in partitions_by_recursion(remaining - first, first):
+            yield (first,) + rest
 
 
 def capped_partitions(n: int) -> Iterator[list[int]]:
@@ -122,7 +146,7 @@ def power_sum_class(chern: TruncatedPolynomial, j: int) -> TruncatedPolynomial:
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
-    s: list[TruncatedPolynomial] = [chern.space.zero()]  # s[0] unused
+    s: list[TruncatedPolynomial] = [TruncatedPolynomial(chern.space, {})]  # s[0] unused
     for m in range(1, j + 1):
         acc = chern.graded_part(m) * ((-1) ** (m - 1) * m)
         for i in range(1, m):
@@ -148,6 +172,30 @@ def chern_classes_by_inverse_series(sigma: Iterable[int]) -> list[TruncatedPolyn
         inverse = inverse + term
     quotient = total * inverse
     return [quotient.graded_part(j) for j in range(1, space.n)]
+
+
+def s_number_by_full_products(sigma: Iterable[int]) -> int:
+    """``< s_{n-1}(V) c_1 - c_1^n, [V] >`` from the full products and ``c_1**n``."""
+    space = ProjectiveProduct(sigma)
+    c1 = space.first_chern_class()
+    return fundamental_pairing(power_sum_direct(space, space.n - 1) * c1 - c1**space.n)
+
+
+def chern_numbers_by_full_products(sigma: Iterable[int]) -> dict[Partition, int]:
+    """The Chern-number table, each entry a full product from 1 times ``c_1``, paired.
+
+    Keys come from :func:`partitions_by_recursion`, so the table's order
+    is checked against an enumeration independent of the library's.
+    """
+    space, classes = hypersurface_chern_classes(sigma)
+    c1 = space.first_chern_class()
+    numbers = {}
+    for omega in partitions_by_recursion(space.n - 1, space.n - 1):
+        product = space.one()
+        for index in omega:
+            product = product * classes[index - 1]
+        numbers[Partition(omega)] = fundamental_pairing(product * c1)
+    return numbers
 
 
 def uncapped_product(a: TruncatedPolynomial, b: TruncatedPolynomial) -> dict:

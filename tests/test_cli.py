@@ -292,6 +292,10 @@ def test_over_budget_partition_fails_fast(capsys):
         ["certificate", "--n", "200"],
         ["polytope", "--partition", "400,400"],
         ["polytope", "--partition", "99999999999999999999"],
+        # so many parts that the full cost has more than 4300 digits
+        ["s-number", "--partition", ",".join(["1"] * 15000)],
+        ["chern", "--partition", ",".join(["1"] * 15000)],
+        ["polytope", "--partition", ",".join(["1"] * 15000)],
     ]
     for argv in refused:
         code, doc = envelope(capsys, argv)

@@ -9,6 +9,7 @@ from cybordism.cohomology import (
     ProjectiveProduct,
     TruncatedPolynomial,
     _check_ring_cost,
+    _pair,
     chern_total,
     fundamental_pairing,
     hypersurface_chern_classes,
@@ -135,6 +136,12 @@ def test_s_number_equals_negated_weighted_multinomial():
             assert hypersurface_s_number(sigma) == -weighted_multinomial(sigma)
 
 
+def test_s_number_matches_full_products():
+    shapes = [sigma for n in range(2, 11) for sigma in enumerate_partitions(n)]
+    for sigma in shapes + [Partition((1,) * 12)]:
+        assert hypersurface_s_number(sigma) == oracles.s_number_by_full_products(sigma), sigma
+
+
 def test_hypersurface_first_chern_class_vanishes():
     for n in range(2, 9):
         for sigma in enumerate_partitions(n):
@@ -148,6 +155,16 @@ def test_chern_classes_match_inverse_series():
     for sigma in shapes:
         _, classes = hypersurface_chern_classes(sigma)
         assert classes == oracles.chern_classes_by_inverse_series(sigma), sigma
+
+
+def test_chern_numbers_match_full_products():
+    # same values in the same order: the CLI prints the table as iterated
+    shapes = [sigma for n in range(2, 10) for sigma in enumerate_partitions(n)]
+    shapes += [Partition(parts) for parts in ((7, 6, 5), (10, 10), (1,) * 10)]
+    for sigma in shapes:
+        table = hypersurface_chern_numbers(sigma)
+        expected = oracles.chern_numbers_by_full_products(sigma)
+        assert list(table.items()) == list(expected.items()), sigma
 
 
 def test_chern_numbers_of_k3_hypersurfaces():
@@ -222,6 +239,7 @@ def polynomials(space: ProjectiveProduct) -> st.SearchStrategy[TruncatedPolynomi
     ).map(lambda terms: TruncatedPolynomial(space, terms))
 
 
+pairs = spaces.flatmap(lambda s: st.tuples(polynomials(s), polynomials(s)))
 triples = spaces.flatmap(
     lambda s: st.tuples(polynomials(s), polynomials(s), polynomials(s))
 )
@@ -237,6 +255,13 @@ def test_ring_laws(triple):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert (a - b) + b == a
+
+
+@settings(max_examples=60)
+@given(pairs)
+def test_pair_is_fundamental_pairing_of_product(pair):
+    x, y = pair
+    assert _pair(x, y) == fundamental_pairing(x * y)
 
 
 @settings(max_examples=40)

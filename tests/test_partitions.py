@@ -12,6 +12,7 @@ from cybordism.numthy import primes_upto, valuation
 from cybordism.partitions import (
     Partition,
     _capped_minima,
+    _iter_decreasing,
     count_partitions,
     digit_partition,
     enumerate_partitions,
@@ -99,6 +100,13 @@ def test_enumeration_counts_and_order():
         assert len(set(items)) == len(items)
         assert items == sorted(items, reverse=True)
         assert all(sum(p) == n for p in items)
+
+
+def test_iterative_generator_matches_recursion():
+    for n in range(31):
+        for cap in range(1, n + 2):
+            expected = list(oracles.partitions_by_recursion(n, cap))
+            assert list(_iter_decreasing(n, cap)) == expected, (n, cap)
 
 
 def test_enumeration_rejects_nonpositive():
