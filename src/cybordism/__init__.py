@@ -13,100 +13,51 @@ generator analysis.
 All arithmetic is exact; no floating point is used anywhere.
 """
 
-from .cohomology import (
-    ProjectiveProduct,
-    TruncatedPolynomial,
-    chern_total,
-    fundamental_pairing,
-    hypersurface_chern_numbers,
-    hypersurface_euler_characteristic,
-    hypersurface_s_number,
-    power_sum_direct,
-)
-from .generators import (
-    GeneratorCertificate,
-    certificate,
-    low_dimension_table,
-    reverify_certificate,
-    s_number_gcd,
-    verify_gcd_identity,
-)
-from .numthy import (
-    Case,
-    CaseTag,
-    classify,
-    milnor_factor,
-    p_adic_digits,
-    su_generator_s_number,
-    valuation,
-)
-from .partitions import (
-    Partition,
-    digit_partition,
-    enumerate_partitions,
-    generator_partitions,
-    multinomial,
-    power_check,
-    split_prime_power,
-    split_prime_power_successor,
-    weighted_multinomial,
-)
-from .toricdata import (
-    KSParseError,
-    KSRecord,
-    ReflexivePolytope,
-    filter_hodge_difference,
-    h11_range_report,
-    parse_ks,
-    partition_polytope,
-    polar_dual,
-    product,
-    standard_simplex,
-    verify_reflexive,
-)
+import importlib
+
+# exported name -> defining submodule.  A submodule is imported on the
+# first access to one of its names (PEP 562), so ``import cybordism``
+# alone loads none of them and each CLI command loads only what it uses.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "cohomology": (
+            "ProjectiveProduct", "TruncatedPolynomial", "chern_total", "fundamental_pairing",
+            "hypersurface_chern_numbers", "hypersurface_euler_characteristic",
+            "hypersurface_s_number", "power_sum_direct",
+        ),
+        "generators": (
+            "GeneratorCertificate", "certificate", "low_dimension_table",
+            "reverify_certificate", "s_number_gcd", "verify_gcd_identity",
+        ),
+        "numthy": (
+            "Case", "CaseTag", "classify", "milnor_factor", "p_adic_digits",
+            "su_generator_s_number", "valuation",
+        ),
+        "partitions": (
+            "Partition", "digit_partition", "enumerate_partitions", "generator_partitions",
+            "multinomial", "power_check", "split_prime_power", "split_prime_power_successor",
+            "weighted_multinomial",
+        ),
+        "toricdata": (
+            "KSParseError", "KSRecord", "ReflexivePolytope", "filter_hodge_difference",
+            "h11_range_report", "parse_ks", "partition_polytope", "polar_dual", "product",
+            "standard_simplex", "verify_reflexive",
+        ),
+    }.items()
+    for name in names
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Case",
-    "CaseTag",
-    "GeneratorCertificate",
-    "KSParseError",
-    "KSRecord",
-    "Partition",
-    "ProjectiveProduct",
-    "ReflexivePolytope",
-    "TruncatedPolynomial",
-    "certificate",
-    "chern_total",
-    "classify",
-    "digit_partition",
-    "enumerate_partitions",
-    "filter_hodge_difference",
-    "fundamental_pairing",
-    "generator_partitions",
-    "h11_range_report",
-    "hypersurface_chern_numbers",
-    "hypersurface_euler_characteristic",
-    "hypersurface_s_number",
-    "low_dimension_table",
-    "milnor_factor",
-    "multinomial",
-    "p_adic_digits",
-    "parse_ks",
-    "partition_polytope",
-    "polar_dual",
-    "power_check",
-    "power_sum_direct",
-    "product",
-    "reverify_certificate",
-    "s_number_gcd",
-    "split_prime_power",
-    "split_prime_power_successor",
-    "standard_simplex",
-    "su_generator_s_number",
-    "valuation",
-    "verify_gcd_identity",
-    "verify_reflexive",
-    "weighted_multinomial",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

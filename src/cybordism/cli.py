@@ -10,16 +10,20 @@ domain or verification failures exit 1, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from . import cohomology, generators, numthy, partitions, toricdata
-from .partitions import Partition, parse_partition
+# Each handler imports the library modules it uses when it runs, so a
+# command starts up with only those; here they are imported for type
+# checkers alone.  Handlers call module.function, looked up at call time,
+# so a rebinding of a module attribute is seen.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import toricdata
+    from .partitions import Partition
 
 TABLE_COMMANDS = {"gn", "alpha", "gcd", "power-check", "chern"}
 STREAM_COMMANDS = {"ks-parse", "ks-filter"}
@@ -41,6 +45,8 @@ class CommandOutput:
 
 
 def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
+    from . import numthy
+
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
     if args.max > GN_MAX:
@@ -59,12 +65,14 @@ def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
+    from . import cohomology, partitions
+
     if args.n > ALPHA_MAX_N:
         raise ValueError(f"need --n <= {ALPHA_MAX_N} (the alpha budget), got {args.n}")
     if args.n >= 3:
         # prod(d_i + 1) <= 2**n, so the all-ones partition has the costliest
         # ring: refuse an over-budget n on it before any ring arithmetic
-        cohomology._check_ring_cost(Partition([1] * args.n))
+        cohomology._check_ring_cost(partitions.Partition([1] * args.n))
     rows = []
     all_match = True
     for sigma in partitions.generator_partitions(args.n):
@@ -89,6 +97,8 @@ def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_gcd(args: argparse.Namespace) -> CommandOutput:
+    from . import generators
+
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
     report = generators.verify_gcd_identity(args.max)
@@ -106,6 +116,8 @@ def _cmd_gcd(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> CommandOutput:
+    from . import generators, numthy
+
     cert = generators.certificate(args.n)
     reverified = generators.reverify_certificate(cert)
     ok = reverified == cert.achieved == numthy.su_generator_s_number(args.n)
@@ -124,7 +136,9 @@ def _cmd_certificate(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_s_number(args: argparse.Namespace) -> CommandOutput:
-    sigma = parse_partition(args.partition)
+    from . import cohomology, partitions
+
+    sigma = partitions.parse_partition(args.partition)
     value = cohomology.hypersurface_s_number(sigma)
     return CommandOutput(
         results={"partition": sigma.label, "s_number": value}, status="pass"
@@ -140,14 +154,16 @@ def _chern_index_label(omega: Partition) -> str:
 
 
 def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
-    sigma = parse_partition(args.partition)
+    from . import cohomology, partitions
+
+    sigma = partitions.parse_partition(args.partition)
     numbers = cohomology.hypersurface_chern_numbers(sigma)
     dimension = sigma.n - 1
     # the table is built in enumerate_partitions(dimension) order
     rows = [
         {"index": _chern_index_label(omega), "value": value} for omega, value in numbers.items()
     ]
-    euler = numbers[Partition((dimension,))]
+    euler = numbers[partitions.Partition((dimension,))]
     return CommandOutput(
         results={
             "partition": sigma.label,
@@ -161,6 +177,8 @@ def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
+    from . import partitions
+
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
     if args.max > POWER_CHECK_MAX:
@@ -188,7 +206,9 @@ def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
-    sigma = parse_partition(args.partition)
+    from . import partitions, toricdata
+
+    sigma = partitions.parse_partition(args.partition)
     poly = toricdata.partition_polytope(sigma)
     report = toricdata.verify_reflexive(poly)
     results = {
@@ -205,6 +225,8 @@ def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
 
 
 def _read_ks(args: argparse.Namespace) -> tuple[list[toricdata.KSRecord], list[dict]]:
+    from . import toricdata
+
     records = []
     errors = []
     source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
@@ -250,6 +272,8 @@ def _cmd_ks_parse(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_ks_filter(args: argparse.Namespace) -> CommandOutput:
+    from . import toricdata
+
     records, errors = _read_ks(args)
     usable = [r for r in records if r.consistent]
     kept = list(toricdata.filter_hodge_difference(usable, args.target))
@@ -284,6 +308,8 @@ def _side_dict(side: toricdata.RangeSide) -> dict:
 
 
 def _cmd_ks_ranges(args: argparse.Namespace) -> CommandOutput:
+    from . import toricdata
+
     records, errors = _read_ks(args)
     usable = [r for r in records if r.consistent]
     report = toricdata.h11_range_report(usable)
@@ -382,6 +408,9 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], CommandOutput]] = {
 
 
 def _render_csv(columns: list[str], rows: list[dict]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

@@ -20,7 +20,7 @@ constructed.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .partitions import Partition, check_budget, count_partitions, enumerate_partitions
 

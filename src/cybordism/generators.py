@@ -307,9 +307,11 @@ def low_dimension_table() -> dict:
         coeff * hypersurface_euler_characteristic(sigma)
         for sigma, coeff in cert4.entries
     )
+    # c_1 = 0 on a Calabi-Yau threefold, so s_3 = 3 c_3 = 3 chi, and s_3 = +-g(4)
+    euler = targets[3] // 3
     return {
         "targets": targets,
         "certificates": certificates,
         "dimension3_combination_euler": combination_euler,
-        "dimension3_single_manifold_euler": (2, -2),
+        "dimension3_single_manifold_euler": (euler, -euler),
     }

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .numthy import (
     factorial_valuation,
@@ -119,6 +119,12 @@ def _iter_decreasing(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]
         yield tuple(x[: m + 1])
 
 
+def _trusted(raw: tuple[int, ...]) -> Partition:
+    # raw comes from _iter_decreasing, already weakly decreasing and
+    # positive, so it skips the sort and checks of Partition()
+    return tuple.__new__(Partition, raw)
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of ``n``, reverse-lexicographically.
 
@@ -128,7 +134,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    yield from map(Partition, _iter_decreasing(n, n))
+    yield from map(_trusted, _iter_decreasing(n, n))
 
 
 def count_partitions(n: int) -> int:
@@ -156,7 +162,7 @@ def generator_partitions(n: int) -> Iterator[Partition]:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    yield from map(Partition, _iter_decreasing(n, n - 2))
+    yield from map(_trusted, _iter_decreasing(n, n - 2))
 
 
 def multinomial(sigma: Partition) -> int:

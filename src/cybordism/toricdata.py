@@ -15,9 +15,9 @@ a Calabi-Yau threefold must satisfy ``chi = 2*(h11 - h21)``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Iterator
 
 from .partitions import Partition, check_budget
 
@@ -203,6 +203,8 @@ _HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 
 _MATRIX_ROW_RE = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
 
+_TOO_LONG = "header number has too many digits"
+
 
 @dataclass(frozen=True)
 class KSRecord:
@@ -305,13 +307,14 @@ def parse_ks(
                 message = f"unrecognized line: {text.strip()!r}"
             yield KSParseError(line=lineno, message=message)
             continue
-        ambient_dim = int(match["dim"])
-        vertex_count = int(match["count"])
-        h11 = int(match["h11"])
-        h21 = int(match["h21"])
-        chi = int(match["chi"]) if match["chi"] is not None else None
-        m_points = (int(match["m1"]), int(match["m2"])) if match["m1"] else None
-        n_points = (int(match["n1"]), int(match["n2"])) if match["n1"] else None
+        # int() and str() refuse a number past the interpreter's digit
+        # limit (4300 by default): such a header is an error, not the end
+        # of the parse
+        try:
+            ambient_dim, vertex_count = int(match["dim"]), int(match["count"])
+        except ValueError:
+            yield KSParseError(line=lineno, message=_TOO_LONG)
+            continue
         matrix: list[str] = []
         bad_row: str | None = None
         while len(matrix) < ambient_dim:
@@ -330,25 +333,31 @@ def parse_ks(
         if bad_row is not None:
             yield KSParseError(line=lineno, message=bad_row)
             continue
-        if h11 < 1:
-            yield KSParseError(line=lineno, message=f"h11 must be >= 1, got {h11}")
-            continue
-        record = KSRecord(
-            ambient_dim=ambient_dim,
-            vertex_count=vertex_count,
-            h11=h11,
-            h21=h21,
-            chi=chi,
-            m_points=m_points,
-            n_points=n_points,
-            matrix=tuple(matrix),
-            line=lineno,
-        )
-        if strict and not record.consistent:
-            yield KSParseError(
+        try:
+            record = KSRecord(
+                ambient_dim=ambient_dim,
+                vertex_count=vertex_count,
+                h11=int(match["h11"]),
+                h21=int(match["h21"]),
+                chi=int(match["chi"]) if match["chi"] is not None else None,
+                m_points=(int(match["m1"]), int(match["m2"])) if match["m1"] else None,
+                n_points=(int(match["n1"]), int(match["n2"])) if match["n1"] else None,
+                matrix=tuple(matrix),
                 line=lineno,
-                message=f"chi = {chi} contradicts 2*(h11 - h21) = {2 * (h11 - h21)}",
             )
+        except ValueError:
+            yield KSParseError(line=lineno, message=_TOO_LONG)
+            continue
+        if record.h11 < 1:
+            yield KSParseError(line=lineno, message=f"h11 must be >= 1, got {record.h11}")
+            continue
+        if strict and not record.consistent:
+            try:  # 2*(h11 - h21) can pass the digit limit that h11 kept to
+                doubled = str(2 * record.hodge_difference)
+                message = f"chi = {record.chi} contradicts 2*(h11 - h21) = {doubled}"
+            except ValueError:
+                message = _TOO_LONG
+            yield KSParseError(line=lineno, message=message)
             continue
         yield record
 

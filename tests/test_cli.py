@@ -138,22 +138,64 @@ def test_gcd_jobs_output_identical(capsys):
     assert json.loads(few)["status"] == "pass"
 
 
-def test_cli_import_starts_no_process_machinery():
-    # the CLI runs every command serially, so importing it must not pull in
-    # the process-pool modules (about a third of its start-up time)
-    probe = (
-        "import cybordism.cli, sys; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
+def probe(code: str):
+    """Run ``code`` in a fresh interpreter on this checkout; the JSON it prints last."""
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cybordism.'))))"
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the CLI runs every command serially, so importing it must not pull in
+    # the process-pool modules (about a third of its start-up time)
+    code = (
+        "import cybordism.cli, json, sys; "
+        "print(json.dumps([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]))"
+    )
+    assert probe(code) == []
+
+
+def test_package_import_loads_no_submodule():
+    assert probe(f"import cybordism, json, sys; {LOADED}") == []
+
+
+def test_commands_load_only_the_modules_they_use():
+    def loaded(argv):
+        return probe(f"import json, sys\nfrom cybordism import cli\ncli.run({argv!r})\n{LOADED}")
+
+    assert loaded(["gn", "--max", "3"]) == ["cybordism.cli", "cybordism.numthy"]
+    ranges = loaded(["ks", "ranges", "--input", SAMPLE])
+    assert "cybordism.toricdata" in ranges
+    assert "cybordism.cohomology" not in ranges and "cybordism.generators" not in ranges
+
+
+def test_package_exports_resolve_lazily():
+    code = """
+import importlib, json, cybordism
+def defined_there(name):
+    value = getattr(cybordism, name)
+    return getattr(importlib.import_module(value.__module__), name) is value
+try:
+    cybordism.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({
+    "misplaced": [name for name in cybordism.__all__ if not defined_there(name)],
+    "undir": sorted(set(cybordism.__all__) - set(dir(cybordism))),
+    "unknown": unknown,
+}))
+"""
+    assert probe(code) == {"misplaced": [], "undir": [], "unknown": "AttributeError"}
 
 
 def test_power_check_subcommand(capsys):
@@ -210,6 +252,14 @@ def test_ks_parse_malformed_partial(capsys):
     assert doc["status"] == "partial"
     assert doc["results"]["counts"]["errors"] > 0
     assert doc["results"]["counts"]["inconsistent"] == 1
+
+
+def test_ks_parse_over_long_header_number_partial(capsys):
+    code, doc = envelope(capsys, ["ks", "parse", "--input", str(DATA / "ks_long_number.txt")])
+    assert code == 1
+    assert doc["status"] == "partial"
+    assert doc["results"]["counts"] == {"records": 2, "errors": 1, "inconsistent": 0}
+    assert doc["results"]["errors"][0]["line"] == 6
 
 
 def test_ks_parse_strict_promotes_chi_errors(capsys):

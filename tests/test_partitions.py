@@ -109,6 +109,17 @@ def test_iterative_generator_matches_recursion():
             assert list(_iter_decreasing(n, cap)) == expected, (n, cap)
 
 
+def test_enumerated_items_are_canonical_partitions():
+    # the generators wrap the raw tuples unchecked; each must be what the
+    # validating constructor builds from it
+    for n in range(1, 31):
+        for cap in range(1, n + 1):
+            raws = _iter_decreasing(n, cap)
+            assert all(Partition(raw) == raw for raw in raws), (n, cap)
+        items = [*enumerate_partitions(n), *(generator_partitions(n) if n >= 3 else ())]
+        assert all(type(p) is Partition and Partition(p) == p for p in items), n
+
+
 def test_enumeration_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(enumerate_partitions(0))

@@ -207,6 +207,20 @@ def test_malformed_file_errors_and_recovery():
     assert any("h11" in e.message for e in errors)
 
 
+def test_over_long_header_number_is_one_positioned_error():
+    # the middle header's chi has 5,000 digits, past int()'s default limit
+    items = list(parse_ks(read_lines("ks_long_number.txt")))
+    records = [r for r in items if isinstance(r, KSRecord)]
+    errors = [e for e in items if isinstance(e, KSParseError)]
+    assert [r.line for r in records] == [1, 11]
+    assert [e.line for e in errors] == [6]
+    assert "digits" in errors[0].message
+    # strict mode prints 2*(h11 - h21), one digit past a 4300-digit h11
+    header = "4 5 H:" + "9" * 4300 + ",1 [2]"
+    (strict,) = parse_ks([header, *["0 0 0 0 0"] * 4], strict=True)
+    assert isinstance(strict, KSParseError) and strict.line == 1
+
+
 def test_truncated_matrix_at_eof():
     items = list(parse_ks(["4 5 H:2,2", "1 1 1 1 1"]))
     assert len(items) == 1
