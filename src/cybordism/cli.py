@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 # Each handler imports the library modules it uses when it runs, so a
 # command starts up with only those; here they are imported for type
@@ -34,14 +34,21 @@ POWER_CHECK_MAX = 400
 # Largest --n for which alpha builds the all-ones partition to check it
 # against the ring budget; every n >= 17 is refused either way.
 ALPHA_MAX_N = 100
+# jsonl lines per write: few system calls even when stdout is unbuffered
+JSONL_CHUNK = 4096
 
 
-@dataclass
-class CommandOutput:
-    results: dict
-    status: str  # "pass" | "fail" | "partial"
-    columns: list[str] | None = None  # csv header for results["rows"]
-    stream: list[dict] | None = None  # jsonl payload for ks subcommands
+class CommandOutput(
+    namedtuple("CommandOutput", "results status columns stream", defaults=(None, None))
+):
+    """What a subcommand handler returns for :func:`run` to print.
+
+    ``status`` is "pass", "fail" or "partial"; ``columns`` is the csv
+    header of ``results["rows"]`` and ``stream`` the jsonl payload of the
+    ks subcommands.
+    """
+
+    __slots__ = ()
 
 
 def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
@@ -186,15 +193,7 @@ def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
             f"need --max <= {POWER_CHECK_MAX} (the power-check budget), got {args.max}"
         )
     rows = [
-        {
-            "n": n,
-            "prime": entry.prime,
-            "kind": entry.kind,
-            "witness": entry.witness.label,
-            "witness_valuation": entry.witness_valuation,
-            "scan_min": entry.scan_min,
-            "ok": entry.ok,
-        }
+        {"n": n, **entry._asdict(), "witness": entry.witness.label}
         for n in range(3, args.max + 1)
         for entry in partitions.power_check(n).entries
     ]
@@ -224,7 +223,8 @@ def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(results=results, status="pass" if report.ok else "fail")
 
 
-def _read_ks(args: argparse.Namespace) -> tuple[list[toricdata.KSRecord], list[dict]]:
+def _read_ks(args: argparse.Namespace, keep: Callable | None = None) -> tuple[list, list[dict]]:
+    """The input's records, each passed through ``keep`` when given, and its error rows."""
     from . import toricdata
 
     records = []
@@ -235,7 +235,7 @@ def _read_ks(args: argparse.Namespace) -> tuple[list[toricdata.KSRecord], list[d
             if isinstance(item, toricdata.KSParseError):
                 errors.append({"line": item.line, "message": item.message})
             else:
-                records.append(item)
+                records.append(item if keep is None else keep(item))
     return records, errors
 
 
@@ -252,21 +252,18 @@ def _ks_status(n_good: int, n_bad: int) -> str:
 
 
 def _cmd_ks_parse(args: argparse.Namespace) -> CommandOutput:
-    records, errors = _read_ks(args)
-    payload = [_record_dict(r) for r in records]
+    # each record becomes its payload row as it is parsed, so the records
+    # and their matrix rows are never all held at once
+    payload, errors = _read_ks(args, _record_dict)
+    inconsistent = sum(1 for row in payload if not row["consistent"])
     results = {
         "records": payload,
         "errors": errors,
-        "counts": {
-            "records": len(records),
-            "errors": len(errors),
-            "inconsistent": sum(1 for r in records if not r.consistent),
-        },
+        "counts": {"records": len(payload), "errors": len(errors), "inconsistent": inconsistent},
     }
-    bad = len(errors) + results["counts"]["inconsistent"]
     return CommandOutput(
         results=results,
-        status=_ks_status(len(records) - results["counts"]["inconsistent"], bad),
+        status=_ks_status(len(payload) - inconsistent, len(errors) + inconsistent),
         stream=payload + [{"error": True, **err} for err in errors],
     )
 
@@ -298,9 +295,7 @@ def _cmd_ks_filter(args: argparse.Namespace) -> CommandOutput:
 
 def _side_dict(side: toricdata.RangeSide) -> dict:
     return {
-        "target": side.target,
-        "bounds": list(side.bounds),
-        "h11_values": list(side.h11_values),
+        **side._asdict(),
         "h11_min": side.h11_min,
         "h11_max": side.h11_max,
         "out_of_range": [{"line": line, "h11": h11} for line, h11 in side.out_of_range],
@@ -450,8 +445,10 @@ def run(argv: Sequence[str]) -> int:
     if args.format == "csv":
         sys.stdout.write(_render_csv(output.columns, output.results["rows"]))
     elif args.format == "jsonl":
-        for item in output.stream or []:
-            print(json.dumps(item, sort_keys=True))
+        encode = json.JSONEncoder(sort_keys=True).encode
+        for start in range(0, len(output.stream), JSONL_CHUNK):
+            chunk = output.stream[start : start + JSONL_CHUNK]
+            sys.stdout.write("".join([f"{encode(item)}\n" for item in chunk]))
     else:
         envelope = {
             "command": command,

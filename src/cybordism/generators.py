@@ -11,11 +11,10 @@ produces deterministic Bezout certificates witnessing it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cohomology import hypersurface_euler_characteristic, hypersurface_s_number
 from .numthy import (
-    CaseTag,
     classify,
     factorial_valuation,
     primes_upto,
@@ -90,8 +89,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class GeneratorCertificate:
+class GeneratorCertificate(namedtuple("GeneratorCertificate", "n entries achieved")):
     """Integer combination of hypersurfaces realising a bordism generator.
 
     ``entries`` lists ``(sigma, coefficient)`` pairs with distinct
@@ -100,9 +98,7 @@ class GeneratorCertificate:
     dimension ``2(n - 1)``.
     """
 
-    n: int
-    entries: tuple[tuple[Partition, int], ...]
-    achieved: int
+    __slots__ = ()
 
     def as_mapping(self) -> dict[Partition, int]:
         return dict(self.entries)
@@ -237,12 +233,10 @@ def reverify_certificate(cert: GeneratorCertificate) -> int:
     return sum(coeff * hypersurface_s_number(sigma) for sigma, coeff in cert.entries)
 
 
-@dataclass(frozen=True)
-class GcdIdentityRow:
-    n: int
-    gcd_value: int
-    expected: int
-    tag: CaseTag | None
+class GcdIdentityRow(namedtuple("GcdIdentityRow", "n gcd_value expected tag")):
+    """One ``n`` of the scan; ``tag`` is its :class:`CaseTag`, ``None`` for ``n = 3``."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -254,12 +248,10 @@ class GcdIdentityRow:
         return self.tag.label if self.tag else "base"
 
 
-@dataclass(frozen=True)
-class GcdIdentityReport:
+class GcdIdentityReport(namedtuple("GcdIdentityReport", "n_max rows")):
     """Scan of the gcd identity up to ``n_max``, with case attribution."""
 
-    n_max: int
-    rows: tuple[GcdIdentityRow, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,7 @@ rounded or truncated to machine width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -151,19 +151,14 @@ class Case(Enum):
     SUCCESSOR_ODD = "VII"
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(namedtuple("CaseTag", "n case p q even")):
     """Shape classification of an integer ``n > 3``.
 
     ``p`` is the prime base when ``n`` is a prime power, ``q`` the prime
     base when ``n - 1`` is one; each is ``None`` when not applicable.
     """
 
-    n: int
-    case: Case
-    p: int | None
-    q: int | None
-    even: bool
+    __slots__ = ()
 
     @property
     def label(self) -> str:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .numthy import (
     factorial_valuation,
@@ -264,8 +264,9 @@ def split_prime_power_successor(n: int, q: int) -> Partition:
     return Partition([q ** (r - 1)] * q + [1])
 
 
-@dataclass(frozen=True)
-class DivisibilityEntry:
+class DivisibilityEntry(
+    namedtuple("DivisibilityEntry", "prime kind witness witness_valuation scan_min ok")
+):
     """One verified divisibility statement about multinomials of partitions of n.
 
     ``kind`` is ``"coprime"`` (the digit partition's multinomial is prime
@@ -275,20 +276,13 @@ class DivisibilityEntry:
     ``prime`` and the successor split as the exact-once witness).
     """
 
-    prime: int
-    kind: str
-    witness: Partition
-    witness_valuation: int
-    scan_min: int | None
-    ok: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(namedtuple("DivisibilityReport", "n entries", defaults=((),))):
     """Outcome of :func:`power_check` for a single ``n``."""
 
-    n: int
-    entries: tuple[DivisibilityEntry, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -15,8 +15,8 @@ a Calabi-Yau threefold must satisfy ``chi = 2*(h11 - h21)``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .partitions import Partition, check_budget
@@ -32,8 +32,7 @@ H11_RANGE_MINUS = (15, 89)
 POLYTOPE_COST_BUDGET = 2**26
 
 
-@dataclass(frozen=True)
-class ReflexivePolytope:
+class ReflexivePolytope(namedtuple("ReflexivePolytope", "dim vertices facets")):
     """Lattice polytope with facet inequalities ``<a, x> >= -1``.
 
     ``vertices`` are integer lattice points; ``facets`` are the integer
@@ -42,9 +41,7 @@ class ReflexivePolytope:
     does.
     """
 
-    dim: int
-    vertices: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:
@@ -109,14 +106,10 @@ def polar_dual(p: ReflexivePolytope) -> ReflexivePolytope:
     return ReflexivePolytope(dim=p.dim, vertices=p.facets, facets=p.vertices)
 
 
-@dataclass(frozen=True)
-class ReflexivityReport:
+class ReflexivityReport(namedtuple("ReflexivityReport", "ok diagnostics vertex_count facet_count")):
     """Verdict of :func:`verify_reflexive` with per-check diagnostics."""
 
-    ok: bool
-    diagnostics: tuple[str, ...]
-    vertex_count: int
-    facet_count: int
+    __slots__ = ()
 
 
 def verify_reflexive(p: ReflexivePolytope) -> ReflexivityReport:
@@ -206,24 +199,31 @@ _MATRIX_ROW_RE = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
 _TOO_LONG = "header number has too many digits"
 
 
-@dataclass(frozen=True)
-class KSRecord:
+class KSRecord(
+    namedtuple(
+        "KSRecord",
+        "ambient_dim vertex_count h11 h21 chi m_points n_points matrix line",
+        defaults=(None, None, None, (), 0),
+    )
+):
     """One reflexive-polytope list record reduced to its Hodge data.
 
-    ``matrix`` retains the vertex block verbatim (one string per row);
-    its geometric content is opaque here.  ``line`` is the 1-based header
-    line number in the source and never participates in equality.
+    ``chi`` and the ``(a, b)`` pairs ``m_points`` and ``n_points`` are
+    ``None`` when the header omits them.  ``matrix`` retains the vertex
+    block verbatim (one string per row); its geometric content is opaque
+    here.  ``line`` is the 1-based header line number in the source and
+    never participates in equality or hashing between records.
     """
 
-    ambient_dim: int
-    vertex_count: int
-    h11: int
-    h21: int
-    chi: int | None = None
-    m_points: tuple[int, int] | None = None
-    n_points: tuple[int, int] | None = None
-    matrix: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self[:-1] == other[:-1] if isinstance(other, KSRecord) else NotImplemented
+
+    __ne__ = object.__ne__  # the negated __eq__; tuple's own __ne__ would compare ``line``
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     @property
     def hodge_difference(self) -> int:
@@ -256,12 +256,10 @@ class KSRecord:
         }
 
 
-@dataclass(frozen=True)
-class KSParseError:
+class KSParseError(namedtuple("KSParseError", "line message")):
     """Positioned description of an unusable input line or record."""
 
-    line: int
-    message: str
+    __slots__ = ()
 
 
 def format_ks(record: KSRecord) -> str:
@@ -371,14 +369,14 @@ def filter_hodge_difference(
             yield record
 
 
-@dataclass(frozen=True)
-class RangeSide:
-    """Achieved ``h11`` values among records with one fixed Hodge difference."""
+class RangeSide(namedtuple("RangeSide", "target bounds h11_values out_of_range")):
+    """Achieved ``h11`` values among records with one fixed Hodge difference.
 
-    target: int
-    bounds: tuple[int, int]
-    h11_values: tuple[int, ...]
-    out_of_range: tuple[tuple[int, int], ...]  # (line, h11) pairs
+    ``h11_values`` are sorted and distinct; ``out_of_range`` holds the
+    ``(line, h11)`` pairs of the records outside ``bounds``.
+    """
+
+    __slots__ = ()
 
     @property
     def h11_min(self) -> int | None:
@@ -389,12 +387,10 @@ class RangeSide:
         return max(self.h11_values) if self.h11_values else None
 
 
-@dataclass(frozen=True)
-class RangeReport:
+class RangeReport(namedtuple("RangeReport", "plus minus")):
     """Per-sign summary of achieved ``h11`` values against the known ranges."""
 
-    plus: RangeSide
-    minus: RangeSide
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:

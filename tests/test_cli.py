@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -138,11 +139,14 @@ def test_gcd_jobs_output_identical(capsys):
     assert json.loads(few)["status"] == "pass"
 
 
-def probe(code: str):
-    """Run ``code`` in a fresh interpreter on this checkout; the JSON it prints last."""
+def probe(code: str, flags: Sequence[str] = ()):
+    """Run ``code`` in a fresh interpreter on this checkout; the JSON it prints last.
+
+    ``flags`` are passed to the interpreter before ``-c``.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         check=True,
@@ -176,6 +180,37 @@ def test_commands_load_only_the_modules_they_use():
     ranges = loaded(["ks", "ranges", "--input", SAMPLE])
     assert "cybordism.toricdata" in ranges
     assert "cybordism.cohomology" not in ranges and "cybordism.generators" not in ranges
+
+
+# the smallest run of each subcommand, as in the benchmark's smoke jobs
+SMOKE = [
+    ["gn", "--max", "3"],
+    ["gcd", "--max", "6"],
+    ["power-check", "--max", "9"],
+    ["certificate", "--n", "5"],
+    ["alpha", "--n", "5"],
+    ["s-number", "--partition", "1,2"],
+    ["chern", "--partition", "1,2"],
+    ["polytope", "--partition", "1,2"],
+    ["ks", "parse", "--input", SAMPLE],
+    ["ks", "filter", "--input", SAMPLE, "--target", "1"],
+    ["ks", "ranges", "--input", SAMPLE],
+]
+
+
+def test_no_command_loads_dataclasses_inspect_or_typing():
+    # no command needs these three, and together they are a fifth of the
+    # start-up imports; -S keeps site, which may import typing itself, out
+    code = f"""
+import json, sys
+from cybordism import cli
+loaded = {{}}
+for argv in {SMOKE!r}:
+    cli.run(argv)
+    loaded[" ".join(argv)] = [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+print(json.dumps(loaded))
+"""
+    assert probe(code, ["-S"]) == {" ".join(argv): [] for argv in SMOKE}
 
 
 def test_package_exports_resolve_lazily():

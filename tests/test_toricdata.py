@@ -4,6 +4,8 @@ import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cybordism.partitions import Partition, generator_partitions
 from cybordism.toricdata import (
@@ -234,6 +236,28 @@ def test_round_trip_identity():
     reparsed = list(parse_ks(io.StringIO(text)))
     assert all(isinstance(r, KSRecord) for r in reparsed)
     assert reparsed == records  # line numbers are excluded from equality
+
+
+@st.composite
+def ks_records(draw):
+    dim, count = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-99, 99).map(str), min_size=count, max_size=count)
+    pairs = st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+    return KSRecord(
+        ambient_dim=dim,
+        vertex_count=count,
+        h11=draw(st.integers(1, 10**6)),
+        h21=draw(st.integers(0, 10**6)),
+        chi=draw(st.none() | st.integers(-(10**6), 10**6)),
+        m_points=draw(pairs),
+        n_points=draw(pairs),
+        matrix=tuple(" ".join(draw(entries)) for _ in range(dim)),
+    )
+
+
+@given(ks_records())
+def test_format_then_parse_round_trips(record):
+    assert list(parse_ks(format_ks(record).splitlines())) == [record]
 
 
 def test_filter_examples():
