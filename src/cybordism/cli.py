@@ -13,8 +13,10 @@ import argparse
 import json
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
+from functools import cache
+from itertools import chain
 
 # Each handler imports the library modules it uses when it runs, so a
 # command starts up with only those; here they are imported for type
@@ -223,20 +225,29 @@ def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(results=results, status="pass" if report.ok else "fail")
 
 
-def _read_ks(args: argparse.Namespace, keep: Callable | None = None) -> tuple[list, list[dict]]:
-    """The input's records, each passed through ``keep`` when given, and its error rows."""
+def _read_ks(args: argparse.Namespace, errors: list[dict]) -> Iterator[toricdata.KSRecord]:
+    """The input's records as they are parsed; its error rows go to ``errors``."""
     from . import toricdata
 
-    records = []
-    errors = []
     source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
     with source as handle:
         for item in toricdata.parse_ks(handle, strict=args.strict):
             if isinstance(item, toricdata.KSParseError):
                 errors.append({"line": item.line, "message": item.message})
             else:
-                records.append(item if keep is None else keep(item))
-    return records, errors
+                yield item
+
+
+def _consistent(
+    records: Iterable[toricdata.KSRecord], counts: dict
+) -> Iterator[toricdata.KSRecord]:
+    """The consistent ``records``, counting all as "parsed", the rest as "inconsistent"."""
+    for record in records:
+        counts["parsed"] += 1
+        if record.consistent:
+            yield record
+        else:
+            counts["inconsistent"] += 1
 
 
 def _record_dict(record: toricdata.KSRecord) -> dict:
@@ -254,7 +265,8 @@ def _ks_status(n_good: int, n_bad: int) -> str:
 def _cmd_ks_parse(args: argparse.Namespace) -> CommandOutput:
     # each record becomes its payload row as it is parsed, so the records
     # and their matrix rows are never all held at once
-    payload, errors = _read_ks(args, _record_dict)
+    errors: list[dict] = []
+    payload = [_record_dict(record) for record in _read_ks(args, errors)]
     inconsistent = sum(1 for row in payload if not row["consistent"])
     results = {
         "records": payload,
@@ -271,24 +283,20 @@ def _cmd_ks_parse(args: argparse.Namespace) -> CommandOutput:
 def _cmd_ks_filter(args: argparse.Namespace) -> CommandOutput:
     from . import toricdata
 
-    records, errors = _read_ks(args)
-    usable = [r for r in records if r.consistent]
-    kept = list(toricdata.filter_hodge_difference(usable, args.target))
-    payload = [_record_dict(r) for r in kept]
-    bad = len(errors) + len(records) - len(usable)
+    # only the printed rows are kept; the other records are counted as they stream
+    errors: list[dict] = []
+    counts = {"parsed": 0, "inconsistent": 0}
+    usable = _consistent(_read_ks(args, errors), counts)
+    payload = [_record_dict(r) for r in toricdata.filter_hodge_difference(usable, args.target)]
     results = {
         "target": args.target,
         "records": payload,
-        "counts": {
-            "parsed": len(records),
-            "errors": len(errors),
-            "inconsistent": len(records) - len(usable),
-            "kept": len(kept),
-        },
+        "counts": {**counts, "errors": len(errors), "kept": len(payload)},
     }
+    inconsistent = counts["inconsistent"]
     return CommandOutput(
         results=results,
-        status=_ks_status(len(usable), bad),
+        status=_ks_status(counts["parsed"] - inconsistent, len(errors) + inconsistent),
         stream=payload,
     )
 
@@ -305,19 +313,15 @@ def _side_dict(side: toricdata.RangeSide) -> dict:
 def _cmd_ks_ranges(args: argparse.Namespace) -> CommandOutput:
     from . import toricdata
 
-    records, errors = _read_ks(args)
-    usable = [r for r in records if r.consistent]
-    report = toricdata.h11_range_report(usable)
+    errors: list[dict] = []
+    counts = {"parsed": 0, "inconsistent": 0}
+    report = toricdata.h11_range_report(_consistent(_read_ks(args, errors), counts))
     results = {
         "plus": _side_dict(report.plus),
         "minus": _side_dict(report.minus),
-        "counts": {
-            "parsed": len(records),
-            "errors": len(errors),
-            "inconsistent": len(records) - len(usable),
-        },
+        "counts": {**counts, "errors": len(errors)},
     }
-    ok = report.clean and not errors and len(usable) == len(records)
+    ok = report.clean and not errors and not counts["inconsistent"]
     return CommandOutput(results=results, status="pass" if ok else "fail")
 
 
@@ -413,6 +417,53 @@ def _render_csv(columns: list[str], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+# the exact types the C encoder writes as JSON scalars
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _encoder(depth: int) -> Callable[[object], str]:
+    """C-encoded compact JSON whose items are separated by a line indented to ``depth``."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def dumps(obj: object, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    ``json`` uses its C encoder only without ``indent``.  Here every
+    container of scalars, and every list of non-empty such dicts, is
+    C-encoded at once with the line break of its depth between items; only
+    the containers around them are walked in Python.
+    """
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return _encoder(0)(obj)  # a scalar, "{}" or "[]"
+    inner = "\n" + "  " * (depth + 1)
+    outer = inner[:-2]
+    if _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
+        text = _encoder(depth + 1)(obj)
+        return "".join((text[0], inner, text[1:-1], outer, text[-1]))
+    if isinstance(obj, dict):
+        # a one-item dict has the C encoder coerce and quote each key as json does
+        body = ("," + inner).join(
+            [
+                _encoder(0)({key: None})[1:-7] + ": " + dumps(value, depth + 1)
+                for key, value in sorted(obj.items())
+            ]
+        )
+        return "".join(("{", inner, body, outer, "}"))
+    if {dict}.issuperset(map(type, obj)) and all(obj) and _SCALARS.issuperset(
+        map(type, chain.from_iterable(map(dict.values, obj)))
+    ):
+        # the list's items and the dicts' share one separator; no encoded
+        # scalar holds a line break, so "},<line>{" is always between dicts
+        deeper = inner + "  "
+        body = _encoder(depth + 2)(obj)[2:-2]
+        body = body.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "".join(("[", inner, "{", deeper, body, inner, "}", outer, "]"))
+    body = ("," + inner).join([dumps(value, depth + 1) for value in obj])
+    return "".join(("[", inner, body, outer, "]"))
+
+
 def _parameters(args: argparse.Namespace) -> dict:
     skip = {"command", "ks_command", "format"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -439,7 +490,7 @@ def run(argv: Sequence[str]) -> int:
             "results": {"error": str(exc)},
             "status": "fail",
         }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(dumps(envelope))
         return 1
 
     if args.format == "csv":
@@ -456,7 +507,7 @@ def run(argv: Sequence[str]) -> int:
             "results": output.results,
             "status": output.status,
         }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(dumps(envelope))
     return 0 if output.status == "pass" else 1
 
 

@@ -15,11 +15,11 @@ from collections import namedtuple
 
 from .cohomology import hypersurface_euler_characteristic, hypersurface_s_number
 from .numthy import (
+    _valuation,
     classify,
     factorial_valuation,
     primes_upto,
     su_generator_s_number,
-    valuation,
 )
 from .partitions import (
     Partition,
@@ -133,7 +133,7 @@ def certificate(n: int) -> GeneratorCertificate:
     target = su_generator_s_number(n)
     order = _scan_order(n)
     primes = primes_upto(n)
-    target_vec = tuple(valuation(p, target) for p in primes)
+    target_vec = tuple(_valuation(p, target) for p in primes)
     # Exponent vectors of the s-number magnitudes over the primes <= n
     # (no larger prime can divide them), computed without big integers:
     # v_p(n!) plus one per-prime table entry for each part.

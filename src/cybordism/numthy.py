@@ -32,8 +32,14 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes ``p <= n`` in increasing order."""
-    return [p for p in range(2, n + 1) if is_prime(p)]
+    """All primes ``p <= n`` in increasing order (sieve of Eratosthenes)."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)  # 0 and 1 are not prime
+    p = 2
+    while p * p <= n:
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+        p += 1
+    return [p for p, prime in enumerate(sieve) if prime]
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -71,6 +77,11 @@ def valuation(p: int, a: int) -> int:
         raise ValueError(f"valuation base must be prime, got {p}")
     if a == 0:
         raise ValueError("valuation of 0 is undefined")
+    return _valuation(p, a)
+
+
+def _valuation(p: int, a: int) -> int:
+    """:func:`valuation` without its checks: ``p`` prime, ``a`` nonzero."""
     k = 0
     while a % p == 0:
         a //= p

@@ -15,11 +15,12 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .numthy import (
+    _valuation,
     factorial_valuation,
+    is_prime,
     p_adic_digits,
     prime_power,
     primes_upto,
-    valuation,
 )
 
 
@@ -201,12 +202,15 @@ def multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
 def _weighted_part_valuations(p: int, top: int) -> list[int]:
     # Entry m (0 <= m <= top) is what one part m adds to the exponent of
     # p in a weighted multinomial beyond v_p(n!): m*v_p(m+1) - v_p(m!).
-    return [m * valuation(p, m + 1) - factorial_valuation(p, m) for m in range(top + 1)]
+    # ``p`` must be prime; callers check it.
+    return [m * _valuation(p, m + 1) - factorial_valuation(p, m) for m in range(top + 1)]
 
 
 def weighted_multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
     """Exponent of the prime ``p`` in ``weighted_multinomial(sigma)``."""
     sigma = tuple(sigma)
+    if not is_prime(p):
+        raise ValueError(f"valuation base must be prime, got {p}")
     table = _weighted_part_valuations(p, max(sigma))
     return factorial_valuation(p, sum(sigma)) + sum(table[part] for part in sigma)
 

@@ -18,8 +18,14 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import reduce
+from itertools import chain
+from operator import mul
 
-from .partitions import Partition, check_budget
+# The ks commands use none of ``partitions``, so only partition_polytope
+# imports it; here it is imported for type checkers alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 # Observed second Betti numbers of toric-hypersurface Calabi-Yau
 # threefolds with h11 - h21 = +1 and -1 respectively.
@@ -91,6 +97,8 @@ def partition_polytope(sigma: Partition | Iterable[int]) -> ReflexivePolytope:
     Raises ``ValueError`` before building anything when
     ``prod(d_i + 1) * sum(d_i + 1) * n`` exceeds :data:`POLYTOPE_COST_BUDGET`.
     """
+    from .partitions import Partition, check_budget
+
     sigma = Partition(sigma)
     sizes = (*(d + 1 for d in sigma), sigma.n + sigma.k, sigma.n)
     cost = "prod(d_i + 1) * sum(d_i + 1) * n"
@@ -149,7 +157,7 @@ def verify_reflexive(p: ReflexivePolytope) -> ReflexivityReport:
         if all(x == 0 for x in a):
             diagnostics.append("zero facet normal")
             continue
-        values = [sum(ai * vi for ai, vi in zip(a, v)) for v in p.vertices]
+        values = [sum(map(mul, a, v)) for v in p.vertices]
         low = min(values)
         if low < -1:
             diagnostics.append(
@@ -194,9 +202,33 @@ _HEADER_RE = re.compile(
 
 _HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 
-_MATRIX_ROW_RE = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
-
 _TOO_LONG = "header number has too many digits"
+
+# A record's matrix rows are checked together, _ROW_CHUNK at a time, so at
+# most that many lines are read past a bad row before it is reported.
+_ROW_CHUNK = 64
+# ASCII digits -> "0" and the other ASCII whitespace (str.isspace) -> " "
+_ROW_BYTES = bytes.maketrans(b"123456789\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", b"0" * 9 + b" " * 9)
+
+
+def _integers(text: str) -> bool:
+    r"""Whether every whitespace-separated word of ``text`` is an integer ``-?\d+``.
+
+    On text with at least one word this is the regex
+    ``^\s*-?\d+(\s+-?\d+)*\s*$``: ``re``'s ``\s`` and ``\d`` on ``str``
+    patterns are ``str.isspace`` and ``str.isdecimal``, which ``str.split``
+    and the checks here use too.  ASCII text mapped through ``_ROW_BYTES``
+    is all integers exactly when nothing but spaces and zeros is left once
+    each " -0" has become " 0"; any other byte is left in place.
+    """
+    if text.isascii():
+        return not f" {text}".encode().translate(_ROW_BYTES).replace(b" -0", b" 0").strip(b" 0")
+    return all(word.removeprefix("-").isdecimal() for word in text.split())
+
+
+def _is_row(text: str, count: int) -> bool:
+    """Whether ``text`` is a matrix row of ``count`` integers (at least one)."""
+    return 0 < count == len(text.split()) and _integers(text)
 
 
 class KSRecord(
@@ -279,25 +311,24 @@ def parse_ks(
     contradicts ``2*(h11 - h21)`` is an error under ``strict``; otherwise
     it is yielded with its ``consistent`` flag set to ``False``.
     """
-    numbered = iter(enumerate(lines, start=1))
-    pushed: tuple[int, str] | None = None
+    numbered = enumerate(lines, start=1)
+    # lines read past a bad matrix row are parsed again: ``source`` yields
+    # them from ``replay`` before going on with ``numbered``
+    replay = iter(())
+    source = numbered
     while True:
-        if pushed is not None:
-            lineno, raw = pushed
-            pushed = None
-        else:
-            try:
-                lineno, raw = next(numbered)
-            except StopIteration:
-                return
-        text = raw.rstrip("\n")
-        if not text.strip():
+        item = next(source, None)
+        if item is None:
+            return
+        lineno, text = item
+        text = text.rstrip("\n")
+        if not text or text.isspace():
             continue
         match = _HEADER_RE.match(text)
         if match is None:
             if "H:" in text:
                 message = f"malformed header: {text.strip()!r}"
-            elif _MATRIX_ROW_RE.match(text):
+            elif _integers(text):
                 message = "stray matrix row (no preceding valid header)"
             elif _HEADERISH_RE.match(text):
                 message = "missing H:<h11>,<h21> field"
@@ -305,47 +336,56 @@ def parse_ks(
                 message = f"unrecognized line: {text.strip()!r}"
             yield KSParseError(line=lineno, message=message)
             continue
+        dim, count, m1, m2, n1, n2, h11, h21, chi = match.groups()
         # int() and str() refuse a number past the interpreter's digit
         # limit (4300 by default): such a header is an error, not the end
         # of the parse
         try:
-            ambient_dim, vertex_count = int(match["dim"]), int(match["count"])
+            dim, count = int(dim), int(count)
         except ValueError:
             yield KSParseError(line=lineno, message=_TOO_LONG)
             continue
+        # read the rows a chunk at a time, each chunk up to its first row
+        # without ``count`` words, then find the first bad row (``good``)
         matrix: list[str] = []
-        bad_row: str | None = None
-        while len(matrix) < ambient_dim:
-            try:
-                row_lineno, row_raw = next(numbered)
-            except StopIteration:
-                bad_row = "input ended inside the vertex matrix"
-                break
-            row = row_raw.rstrip("\n")
-            if _MATRIX_ROW_RE.match(row) and len(row.split()) == vertex_count:
+        good = 0
+        ended = False
+        while good == len(matrix) < dim and not ended:
+            stop = min(dim, good + _ROW_CHUNK)
+            for _, row in source:
+                row = row.rstrip("\n")
                 matrix.append(row)
+                if len(row.split()) != count or len(matrix) == stop:
+                    break
             else:
-                bad_row = f"expected a row of {vertex_count} integers at line {row_lineno}"
-                pushed = (row_lineno, row_raw)
-                break
-        if bad_row is not None:
-            yield KSParseError(line=lineno, message=bad_row)
+                ended = True
+            chunk = matrix[good:]
+            # the loop stops at a row without ``count`` words, so when the
+            # last row has them, every row of the chunk has
+            if chunk and 0 < count == len(chunk[-1].split()) and _integers(" ".join(chunk)):
+                good = len(matrix)
+            else:
+                bad = (i for i, row in enumerate(chunk) if not _is_row(row, count))
+                good += next(bad, len(chunk))
+        if good < len(matrix):
+            replay = iter([*enumerate(matrix[good:], lineno + 1 + good), *replay])
+            source = chain(replay, numbered)
+            message = f"expected a row of {count} integers at line {lineno + 1 + good}"
+            yield KSParseError(line=lineno, message=message)
+            continue
+        if good < dim:
+            yield KSParseError(line=lineno, message="input ended inside the vertex matrix")
             continue
         try:
-            record = KSRecord(
-                ambient_dim=ambient_dim,
-                vertex_count=vertex_count,
-                h11=int(match["h11"]),
-                h21=int(match["h21"]),
-                chi=int(match["chi"]) if match["chi"] is not None else None,
-                m_points=(int(match["m1"]), int(match["m2"])) if match["m1"] else None,
-                n_points=(int(match["n1"]), int(match["n2"])) if match["n1"] else None,
-                matrix=tuple(matrix),
-                line=lineno,
-            )
+            chi = None if chi is None else int(chi)
+            m_points = None if m1 is None else (int(m1), int(m2))
+            n_points = None if n1 is None else (int(n1), int(n2))
+            h11, h21 = int(h11), int(h21)
+            fields = (dim, count, h11, h21, chi, m_points, n_points, tuple(matrix), lineno)
         except ValueError:
             yield KSParseError(line=lineno, message=_TOO_LONG)
             continue
+        record = tuple.__new__(KSRecord, fields)  # the fields in order, no keyword matching
         if record.h11 < 1:
             yield KSParseError(line=lineno, message=f"h11 must be >= 1, got {record.h11}")
             continue
@@ -401,23 +441,24 @@ def h11_range_report(items: Iterable[KSRecord]) -> RangeReport:
     """Summarise ``h11`` for records with Hodge difference +1 and -1.
 
     A record is flagged when its ``h11`` falls outside the observed range
-    for its sign; records with other Hodge differences are ignored.
+    for its sign; records with other Hodge differences are ignored.  The
+    records are read once, as they come.
     """
-    sides = {}
-    records = list(items)
-    for target, bounds in ((1, H11_RANGE_PLUS), (-1, H11_RANGE_MINUS)):
-        values = []
-        flagged = []
-        for record in records:
-            if record.hodge_difference != target:
-                continue
-            values.append(record.h11)
+    sides = {1: (H11_RANGE_PLUS, set(), []), -1: (H11_RANGE_MINUS, set(), [])}
+    for record in items:
+        side = sides.get(record.hodge_difference)
+        if side is not None:
+            bounds, values, flagged = side
+            values.add(record.h11)
             if not bounds[0] <= record.h11 <= bounds[1]:
                 flagged.append((record.line, record.h11))
-        sides[target] = RangeSide(
+    plus, minus = (
+        RangeSide(
             target=target,
             bounds=bounds,
-            h11_values=tuple(sorted(set(values))),
+            h11_values=tuple(sorted(values)),
             out_of_range=tuple(flagged),
         )
-    return RangeReport(plus=sides[1], minus=sides[-1])
+        for target, (bounds, values, flagged) in sides.items()
+    )
+    return RangeReport(plus=plus, minus=minus)

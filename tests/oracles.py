@@ -12,12 +12,15 @@ truncation to the constructor, and the hypersurface s-number and Chern
 numbers from full products read at the top monomial.  The recursive
 reverse-lexicographic partition generator the library replaced with an
 iterative one is here too, as is ``g(n)`` read off the prime-power shape
-of ``n``, because only the tests use it.
+of ``n``, because only the tests use it.  So is the line-by-line KS
+record parser, which checks each matrix row with its own regex and builds
+each record by keyword.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Iterator
 
 from cybordism.cohomology import (
@@ -45,6 +48,7 @@ from cybordism.partitions import (
     split_prime_power,
     split_prime_power_successor,
 )
+from cybordism.toricdata import _HEADER_RE, _HEADERISH_RE, _TOO_LONG, KSParseError, KSRecord
 
 
 def partitions_by_recursion(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -229,3 +233,88 @@ def predicted_gcd(tag: CaseTag) -> int:
     if c is Case.SUCCESSOR_EVEN:
         return tag.q
     return 4  # SUCCESSOR_ODD, q == 2
+
+
+_MATRIX_ROW_RE = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
+
+
+def parse_ks_by_lines(
+    lines: Iterable[str], strict: bool = False
+) -> Iterator[KSRecord | KSParseError]:
+    """What ``toricdata.parse_ks`` yields, one line and one regex per matrix row."""
+    numbered = iter(enumerate(lines, start=1))
+    pushed: tuple[int, str] | None = None
+    while True:
+        if pushed is not None:
+            lineno, raw = pushed
+            pushed = None
+        else:
+            try:
+                lineno, raw = next(numbered)
+            except StopIteration:
+                return
+        text = raw.rstrip("\n")
+        if not text.strip():
+            continue
+        match = _HEADER_RE.match(text)
+        if match is None:
+            if "H:" in text:
+                message = f"malformed header: {text.strip()!r}"
+            elif _MATRIX_ROW_RE.match(text):
+                message = "stray matrix row (no preceding valid header)"
+            elif _HEADERISH_RE.match(text):
+                message = "missing H:<h11>,<h21> field"
+            else:
+                message = f"unrecognized line: {text.strip()!r}"
+            yield KSParseError(line=lineno, message=message)
+            continue
+        try:
+            ambient_dim, vertex_count = int(match["dim"]), int(match["count"])
+        except ValueError:
+            yield KSParseError(line=lineno, message=_TOO_LONG)
+            continue
+        matrix: list[str] = []
+        bad_row: str | None = None
+        while len(matrix) < ambient_dim:
+            try:
+                row_lineno, row_raw = next(numbered)
+            except StopIteration:
+                bad_row = "input ended inside the vertex matrix"
+                break
+            row = row_raw.rstrip("\n")
+            if _MATRIX_ROW_RE.match(row) and len(row.split()) == vertex_count:
+                matrix.append(row)
+            else:
+                bad_row = f"expected a row of {vertex_count} integers at line {row_lineno}"
+                pushed = (row_lineno, row_raw)
+                break
+        if bad_row is not None:
+            yield KSParseError(line=lineno, message=bad_row)
+            continue
+        try:
+            record = KSRecord(
+                ambient_dim=ambient_dim,
+                vertex_count=vertex_count,
+                h11=int(match["h11"]),
+                h21=int(match["h21"]),
+                chi=int(match["chi"]) if match["chi"] is not None else None,
+                m_points=(int(match["m1"]), int(match["m2"])) if match["m1"] else None,
+                n_points=(int(match["n1"]), int(match["n2"])) if match["n1"] else None,
+                matrix=tuple(matrix),
+                line=lineno,
+            )
+        except ValueError:
+            yield KSParseError(line=lineno, message=_TOO_LONG)
+            continue
+        if record.h11 < 1:
+            yield KSParseError(line=lineno, message=f"h11 must be >= 1, got {record.h11}")
+            continue
+        if strict and not record.consistent:
+            try:  # 2*(h11 - h21) can pass the digit limit that h11 kept to
+                doubled = str(2 * record.hodge_difference)
+                message = f"chi = {record.chi} contradicts 2*(h11 - h21) = {doubled}"
+            except ValueError:
+                message = _TOO_LONG
+            yield KSParseError(line=lineno, message=message)
+            continue
+        yield record

@@ -10,9 +10,11 @@ from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybordism import cli
-from cybordism.cli import run
+from cybordism.cli import dumps, run
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "ks_sample.txt")
@@ -177,9 +179,10 @@ def test_commands_load_only_the_modules_they_use():
         return probe(f"import json, sys\nfrom cybordism import cli\ncli.run({argv!r})\n{LOADED}")
 
     assert loaded(["gn", "--max", "3"]) == ["cybordism.cli", "cybordism.numthy"]
-    ranges = loaded(["ks", "ranges", "--input", SAMPLE])
-    assert "cybordism.toricdata" in ranges
-    assert "cybordism.cohomology" not in ranges and "cybordism.generators" not in ranges
+    # toricdata imports partitions (and so numthy) only to build polytopes
+    assert loaded(["ks", "ranges", "--input", SAMPLE]) == ["cybordism.cli", "cybordism.toricdata"]
+    polytope = loaded(["polytope", "--partition", "1,2"])
+    assert polytope == ["cybordism.cli", "cybordism.numthy", "cybordism.partitions", "cybordism.toricdata"]
 
 
 # the smallest run of each subcommand, as in the benchmark's smoke jobs
@@ -425,3 +428,71 @@ def test_module_entry_point_end_to_end():
         [sys.executable, "-m", "cybordism", "bogus"], capture_output=True, text=True, env=env
     )
     assert bad.returncode == 2
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**80), 10**80),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["\x00\x1f\n\t\"\\", "h\u00e9\u2003\U0001f600", "},\n  {", ""]),
+)
+FLAT_DICTS = st.dictionaries(st.text(max_size=3), SCALARS, min_size=1, max_size=4)
+
+
+def _json_values(children):
+    # each dict draws its keys from one type: json cannot sort mixed keys
+    keys = st.sampled_from([st.text(max_size=3), st.integers(-5, 5), st.none(), st.booleans()])
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(FLAT_DICTS, max_size=3),
+        keys.flatmap(lambda k: st.dictionaries(k, children, max_size=4)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(SCALARS, _json_values, max_leaves=20))
+def test_dumps_is_json_dumps_with_indent_and_sorted_keys(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_edge_cases():
+    cases = [
+        {},
+        [],
+        [[], {}, [{}], [[]]],
+        {"a": {}, "b": [], "c": [{}]},
+        [{"a": 1}, {}],
+        [{"a": 1}, {"b": [1]}],
+        {1: [1], 2: {"x": None}, 10: "ten"},
+        {None: [{"k": "v"}]},
+        {True: [1], False: {}},
+        {1.5: [2]},
+        [{"s": "},\n    {"}, {"s": "\u0000\x7f\u2028"}],
+        ({"t": (1, 2)}, [3, (4,)]),
+        -(10**300),
+        "\ud800",
+    ]
+    for value in cases:
+        assert dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
+    for bad in ({(1,): [1]}, {1: [1], "a": [2]}, [object()]):
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+
+def test_failure_envelope_is_indented_json(capsys):
+    code, out = invoke(capsys, ["ks", "parse", "--input", str(DATA / "no-such-file.txt")])
+    assert code == 1
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_ks_filter_and_ranges_count_as_they_stream(capsys):
+    code, doc = envelope(capsys, ["ks", "filter", "--input", MALFORMED, "--target", "-1"])
+    assert (code, doc["status"]) == (1, "partial")
+    assert doc["results"]["counts"] == {"parsed": 2, "errors": 11, "inconsistent": 1, "kept": 1}
+    code, doc = envelope(capsys, ["ks", "ranges", "--input", MALFORMED])
+    assert (code, doc["status"]) == (1, "fail")
+    assert doc["results"]["counts"] == {"parsed": 2, "errors": 11, "inconsistent": 1}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from cybordism.numthy import (
     Case,
+    _valuation,
     classify,
     factorial_valuation,
     is_prime,
@@ -55,9 +56,23 @@ def test_valuation_rejects_bad_input():
     with pytest.raises(ValueError):
         valuation(2, 0)
     with pytest.raises(ValueError):
+        valuation(4, 8)
+    with pytest.raises(ValueError):
         valuation(4, 12)
     with pytest.raises(ValueError):
         valuation(1, 12)
+
+
+def test_primes_upto_is_the_trial_division_filter():
+    by_trial = [p for p in range(2, 10**4 + 1) if is_prime(p)]
+    assert primes_upto(10**4) == by_trial
+    for n in range(-2, 400):
+        assert primes_upto(n) == [p for p in by_trial if p <= n], n
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**12))
+def test_unchecked_valuation_agrees(p, a):
+    assert _valuation(p, a) == valuation(p, a) == naive_valuation(p, a)
 
 
 def test_valuation_of_negatives():

@@ -1,14 +1,18 @@
 """Reflexive polytopes and the Hodge-number record pipeline."""
 
 import io
+import itertools
+import re
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybordism.partitions import Partition, generator_partitions
 from cybordism.toricdata import (
+    _integers,
     KSParseError,
     KSRecord,
     ReflexivePolytope,
@@ -22,6 +26,8 @@ from cybordism.toricdata import (
     standard_simplex,
     verify_reflexive,
 )
+
+from oracles import parse_ks_by_lines
 
 DATA = Path(__file__).parent / "data"
 
@@ -258,6 +264,121 @@ def ks_records(draw):
 @given(ks_records())
 def test_format_then_parse_round_trips(record):
     assert list(parse_ks(format_ks(record).splitlines())) == [record]
+
+
+def parsed(lines, strict=False) -> list[tuple]:
+    """Each item with its type and line number, which ``==`` on records leaves out."""
+    return [(type(item), item.line, item) for item in parse_ks(lines, strict)]
+
+
+def parsed_by_lines(lines, strict=False) -> list[tuple]:
+    return [(type(item), item.line, item) for item in parse_ks_by_lines(lines, strict)]
+
+
+BIG = "9" * 5000  # past int()'s 4300-digit limit
+HEADERS = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(["0", "1", "2", "3", "٣", "99999999999999999999", BIG]),
+    st.sampled_from(["0", "1", "2", "3", BIG]),
+    st.sampled_from(
+        [
+            "H:1,1",
+            "H:2,1 [2]",
+            "H:3,1 [5]",
+            "H:0,3",
+            "M:1 2 N:3 4 H:5,6 [-2]",
+            "M:1 2 H:4,4",
+            f"H:{BIG},1",
+            f"H:1,1 [{BIG}]",
+            "H:1",
+        ]
+    ),
+)
+WORDS = st.sampled_from(["0", "7", "-1", "12", "٣", "-٣", BIG, "-", "--1", "1-2", "x", "H:"])
+SPACES = st.sampled_from([" ", "   ", "\t", "\x0b", "\r", "\x1c", "\n", "\xa0", "\u2003"])
+ROWS = st.builds(
+    lambda lead, sep, words, tail: lead + sep.join(words) + tail,
+    st.sampled_from(["", " ", "\t"]),
+    SPACES,
+    st.lists(WORDS, max_size=4),
+    st.sampled_from(["", " ", "\r", "\n", "\x0b"]),
+)
+LINES = st.one_of(HEADERS, ROWS, ROWS, st.sampled_from(["", " ", "\r", "\x0b"]), st.text(max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(LINES, max_size=14), st.booleans(), st.booleans())
+def test_parse_matches_the_line_by_line_parser(lines, newlines, strict):
+    if newlines:
+        lines = [line + "\n" for line in lines]
+    assert parsed(lines, strict) == parsed_by_lines(lines, strict)
+
+
+def test_words_are_integers_exactly_as_the_row_regex_says():
+    row = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
+    # every string of up to 5 of these characters, ASCII and not
+    for size in range(1, 6):
+        for chars in itertools.product(" -0\t\x1cx٣\u2003", repeat=size):
+            text = "".join(chars)
+            if text.split():
+                assert _integers(text) == bool(row.match(text)), repr(text)
+
+
+def test_regex_space_and_digit_classes_are_the_str_predicates():
+    # what makes the regex-free row check exact, over every code point
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+    assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
+
+
+def test_huge_dim_reports_the_row_after_its_matrix():
+    # ``dim`` past sys.maxsize: the rows are still read one line at a time
+    lines = ["99999999999999999999 1 H:2,1\n", "1\n", "\n"]
+    assert [(e.line, e.message) for e in parse_ks(lines)] == [
+        (1, "expected a row of 1 integers at line 3")
+    ]
+    assert parsed(lines) == parsed_by_lines(lines)
+    assert [e.message for e in parse_ks(lines[:2])] == ["input ended inside the vertex matrix"]
+
+
+def test_rows_read_up_to_the_end_are_parsed_again():
+    # both rows have 2 words, so both are read before "x y" is found bad;
+    # the input has ended by then, and both lines are still parsed again
+    lines = ["3 2 H:1,1", "x y", "1 2"]
+    assert [(e.line, e.message) for e in parse_ks(lines)] == [
+        (1, "expected a row of 2 integers at line 2"),
+        (2, "unrecognized line: 'x y'"),
+        (3, "stray matrix row (no preceding valid header)"),
+    ]
+    assert parsed(lines) == parsed_by_lines(lines)
+
+
+def test_rows_parsed_again_can_be_pushed_back_again():
+    # lines 2-6 are read as rows of the first header, then parsed again;
+    # the header on line 3 pushes line 4 back while lines 5-6 still wait
+    lines = ["5 3 H:1,1", "x y z", "1 1 H:1,1", "a b c", "1 2 3", "4 5 6", "1 1 H:2,1", "8"]
+    items = parsed(lines)
+    assert items == parsed_by_lines(lines)
+    assert [line for _, line, _ in items] == [1, 2, 3, 4, 5, 6, 7]
+    assert items[-1][2].matrix == ("8",)
+
+
+def test_long_matrices_across_row_chunks():
+    good = ["100 1 H:1,1", *["-1"] * 100, "2 1 H:2,1", "1", "1"]
+    assert parsed(good) == parsed_by_lines(good)
+    assert [len(r.matrix) for r in parse_ks(good)] == [100, 2]
+    # a bad row 70 rows in: the rows after it are parsed again as lines
+    bad = ["100 1 H:1,1", *["1"] * 69, "x", *["1"] * 30, "1 1 H:1,1", "7"]
+    items = parsed(bad)
+    assert items == parsed_by_lines(bad)
+    assert items[0][2].message == "expected a row of 1 integers at line 71"
+    assert items[-1][2].matrix == ("7",)
+
+
+def test_count_zero_has_no_matrix_row():
+    for lines in (["1 0 H:1,1", ""], ["1 0 H:1,1", "1"], ["0 0 H:1,1"]):
+        assert parsed(lines) == parsed_by_lines(lines)
+    assert isinstance(next(parse_ks(["0 0 H:1,1"])), KSRecord)
 
 
 def test_filter_examples():
