@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from collections import namedtuple
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import cache
@@ -39,41 +40,37 @@ ALPHA_MAX_N = 100
 # jsonl lines per write: few system calls even when stdout is unbuffered
 JSONL_CHUNK = 4096
 
-
-class CommandOutput(
-    namedtuple("CommandOutput", "results status columns stream", defaults=(None, None))
-):
-    """What a subcommand handler returns for :func:`run` to print.
-
-    ``status`` is "pass", "fail" or "partial"; ``columns`` is the csv
-    header of ``results["rows"]`` and ``stream`` the jsonl payload of the
-    ks subcommands.
-    """
-
-    __slots__ = ()
+# Each handler returns ``(results, status)`` for :func:`run` to print;
+# status is "pass", "fail" or "partial".  The csv of a table command is
+# ``results["rows"]`` in the key order of its dicts, and the jsonl of a ks
+# command is ``results["records"]`` followed by its parse errors.
 
 
-def _cmd_gn(args: argparse.Namespace) -> CommandOutput:
+def _per_n(top: int, budget: int, name: str) -> range:
+    """``3 <= n <= top``, refusing a ``top`` below 3 or over the ``name`` budget."""
+    if top < 3:
+        raise ValueError(f"need --max >= 3, got {top}")
+    if top > budget:
+        raise ValueError(f"need --max <= {budget} (the {name} budget), got {top}")
+    return range(3, top + 1)
+
+
+def _cmd_gn(args: argparse.Namespace) -> tuple[dict, str]:
     from . import numthy
 
-    if args.max < 3:
-        raise ValueError(f"need --max >= 3, got {args.max}")
-    if args.max > GN_MAX:
-        raise ValueError(f"need --max <= {GN_MAX} (the gn budget), got {args.max}")
-    rows = []
-    for n in range(3, args.max + 1):
-        rows.append(
-            {
-                "n": n,
-                "m1": numthy.milnor_factor(n - 1),
-                "m2": numthy.milnor_factor(n - 2),
-                "g": numthy.su_generator_s_number(n),
-            }
-        )
-    return CommandOutput(results={"rows": rows}, status="pass", columns=["n", "m1", "m2", "g"])
+    rows = [
+        {
+            "n": n,
+            "m1": numthy.milnor_factor(n - 1),
+            "m2": numthy.milnor_factor(n - 2),
+            "g": numthy.su_generator_s_number(n),
+        }
+        for n in _per_n(args.max, GN_MAX, "gn")
+    ]
+    return {"rows": rows}, "pass"
 
 
-def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
+def _cmd_alpha(args: argparse.Namespace) -> tuple[dict, str]:
     from . import cohomology, partitions
 
     if args.n > ALPHA_MAX_N:
@@ -83,48 +80,38 @@ def _cmd_alpha(args: argparse.Namespace) -> CommandOutput:
         # ring: refuse an over-budget n on it before any ring arithmetic
         cohomology._check_ring_cost(partitions.Partition([1] * args.n))
     rows = []
-    all_match = True
     for sigma in partitions.generator_partitions(args.n):
         magnitude = partitions.weighted_multinomial(sigma)
         s_value = cohomology.hypersurface_s_number(sigma)
-        match = s_value == -magnitude
-        all_match = all_match and match
         rows.append(
             {
                 "partition": sigma.label,
                 "multinomial": partitions.multinomial(sigma),
                 "alpha": magnitude,
                 "s_number": s_value,
-                "match": match,
+                "match": s_value == -magnitude,
             }
         )
-    return CommandOutput(
-        results={"n": args.n, "rows": rows},
-        status="pass" if all_match else "fail",
-        columns=["partition", "multinomial", "alpha", "s_number", "match"],
-    )
+    return {"n": args.n, "rows": rows}, "pass" if all(row["match"] for row in rows) else "fail"
 
 
-def _cmd_gcd(args: argparse.Namespace) -> CommandOutput:
+def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:
     from . import generators
 
     if args.max < 3:
         raise ValueError(f"need --max >= 3, got {args.max}")
     report = generators.verify_gcd_identity(args.max)
-    return CommandOutput(
-        results={
-            "rows": [
-                {"n": r.n, "gcd": r.gcd_value, "expected": r.expected, "case": r.case, "ok": r.ok}
-                for r in report.rows
-            ],
-            "case_counts": report.case_counts(),
-        },
-        status="pass" if report.passed else "fail",
-        columns=["n", "gcd", "expected", "case", "ok"],
-    )
+    results = {
+        "rows": [
+            {"n": r.n, "gcd": r.gcd_value, "expected": r.expected, "case": r.case, "ok": r.ok}
+            for r in report.rows
+        ],
+        "case_counts": report.case_counts(),
+    }
+    return results, "pass" if report.passed else "fail"
 
 
-def _cmd_certificate(args: argparse.Namespace) -> CommandOutput:
+def _cmd_certificate(args: argparse.Namespace) -> tuple[dict, str]:
     from . import generators, numthy
 
     cert = generators.certificate(args.n)
@@ -141,28 +128,25 @@ def _cmd_certificate(args: argparse.Namespace) -> CommandOutput:
         "integral_combination": True,
         "ok": ok,
     }
-    return CommandOutput(results=results, status="pass" if ok else "fail")
+    return results, "pass" if ok else "fail"
 
 
-def _cmd_s_number(args: argparse.Namespace) -> CommandOutput:
+def _cmd_s_number(args: argparse.Namespace) -> tuple[dict, str]:
     from . import cohomology, partitions
 
     sigma = partitions.parse_partition(args.partition)
     value = cohomology.hypersurface_s_number(sigma)
-    return CommandOutput(
-        results={"partition": sigma.label, "s_number": value}, status="pass"
-    )
+    return {"partition": sigma.label, "s_number": value}, "pass"
 
 
 def _chern_index_label(omega: Partition) -> str:
-    bits = []
-    for index in sorted(set(omega)):
-        power = list(omega).count(index)
-        bits.append(f"c{index}" if power == 1 else f"c{index}^{power}")
-    return "*".join(bits)
+    return "*".join(
+        f"c{index}" if power == 1 else f"c{index}^{power}"
+        for index, power in sorted(Counter(omega).items())
+    )
 
 
-def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
+def _cmd_chern(args: argparse.Namespace) -> tuple[dict, str]:
     from . import cohomology, partitions
 
     sigma = partitions.parse_partition(args.partition)
@@ -172,41 +156,27 @@ def _cmd_chern(args: argparse.Namespace) -> CommandOutput:
     rows = [
         {"index": _chern_index_label(omega), "value": value} for omega, value in numbers.items()
     ]
-    euler = numbers[partitions.Partition((dimension,))]
-    return CommandOutput(
-        results={
-            "partition": sigma.label,
-            "dimension": dimension,
-            "rows": rows,
-            "euler_characteristic": euler,
-        },
-        status="pass",
-        columns=["index", "value"],
-    )
+    results = {
+        "partition": sigma.label,
+        "dimension": dimension,
+        "rows": rows,
+        "euler_characteristic": numbers[partitions.Partition((dimension,))],
+    }
+    return results, "pass"
 
 
-def _cmd_power_check(args: argparse.Namespace) -> CommandOutput:
+def _cmd_power_check(args: argparse.Namespace) -> tuple[dict, str]:
     from . import partitions
 
-    if args.max < 3:
-        raise ValueError(f"need --max >= 3, got {args.max}")
-    if args.max > POWER_CHECK_MAX:
-        raise ValueError(
-            f"need --max <= {POWER_CHECK_MAX} (the power-check budget), got {args.max}"
-        )
     rows = [
         {"n": n, **entry._asdict(), "witness": entry.witness.label}
-        for n in range(3, args.max + 1)
+        for n in _per_n(args.max, POWER_CHECK_MAX, "power-check")
         for entry in partitions.power_check(n).entries
     ]
-    return CommandOutput(
-        results={"rows": rows},
-        status="pass" if all(row["ok"] for row in rows) else "fail",
-        columns=["n", "prime", "kind", "witness", "witness_valuation", "scan_min", "ok"],
-    )
+    return {"rows": rows}, "pass" if all(row["ok"] for row in rows) else "fail"
 
 
-def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
+def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
     from . import partitions, toricdata
 
     sigma = partitions.parse_partition(args.partition)
@@ -222,7 +192,7 @@ def _cmd_polytope(args: argparse.Namespace) -> CommandOutput:
         "reflexive": report.ok,
         "diagnostics": list(report.diagnostics),
     }
-    return CommandOutput(results=results, status="pass" if report.ok else "fail")
+    return results, "pass" if report.ok else "fail"
 
 
 def _read_ks(args: argparse.Namespace, errors: list[dict]) -> Iterator[toricdata.KSRecord]:
@@ -262,7 +232,7 @@ def _ks_status(n_good: int, n_bad: int) -> str:
     return "partial" if n_good else "fail"
 
 
-def _cmd_ks_parse(args: argparse.Namespace) -> CommandOutput:
+def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, str]:
     # each record becomes its payload row as it is parsed, so the records
     # and their matrix rows are never all held at once
     errors: list[dict] = []
@@ -273,14 +243,10 @@ def _cmd_ks_parse(args: argparse.Namespace) -> CommandOutput:
         "errors": errors,
         "counts": {"records": len(payload), "errors": len(errors), "inconsistent": inconsistent},
     }
-    return CommandOutput(
-        results=results,
-        status=_ks_status(len(payload) - inconsistent, len(errors) + inconsistent),
-        stream=payload + [{"error": True, **err} for err in errors],
-    )
+    return results, _ks_status(len(payload) - inconsistent, len(errors) + inconsistent)
 
 
-def _cmd_ks_filter(args: argparse.Namespace) -> CommandOutput:
+def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, str]:
     from . import toricdata
 
     # only the printed rows are kept; the other records are counted as they stream
@@ -294,11 +260,7 @@ def _cmd_ks_filter(args: argparse.Namespace) -> CommandOutput:
         "counts": {**counts, "errors": len(errors), "kept": len(payload)},
     }
     inconsistent = counts["inconsistent"]
-    return CommandOutput(
-        results=results,
-        status=_ks_status(counts["parsed"] - inconsistent, len(errors) + inconsistent),
-        stream=payload,
-    )
+    return results, _ks_status(counts["parsed"] - inconsistent, len(errors) + inconsistent)
 
 
 def _side_dict(side: toricdata.RangeSide) -> dict:
@@ -310,7 +272,7 @@ def _side_dict(side: toricdata.RangeSide) -> dict:
     }
 
 
-def _cmd_ks_ranges(args: argparse.Namespace) -> CommandOutput:
+def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
     from . import toricdata
 
     errors: list[dict] = []
@@ -322,7 +284,7 @@ def _cmd_ks_ranges(args: argparse.Namespace) -> CommandOutput:
         "counts": {**counts, "errors": len(errors)},
     }
     ok = report.clean and not errors and not counts["inconsistent"]
-    return CommandOutput(results=results, status="pass" if ok else "fail")
+    return results, "pass" if ok else "fail"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--format",
             choices=["json", "csv", "jsonl"],
@@ -347,73 +310,60 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add("gn", "table of milnor factors and generator s-numbers")
+    p = add("gn", _cmd_gn, "table of milnor factors and generator s-numbers")
     p.add_argument("--max", type=int, required=True, help="largest n (inclusive)")
 
-    p = add("alpha", "s-number magnitudes over the capped partitions of n, both routes")
+    p = add("alpha", _cmd_alpha, "s-number magnitudes over the capped partitions of n, both routes")
     p.add_argument("--n", type=int, required=True)
 
-    p = add("gcd", "verify the gcd identity with prime-power case attribution")
+    p = add("gcd", _cmd_gcd, "verify the gcd identity with prime-power case attribution")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (runs serially)")
 
-    p = add("certificate", "integer generator certificate with independent recheck")
+    p = add(
+        "certificate", _cmd_certificate, "integer generator certificate with independent recheck"
+    )
     p.add_argument("--n", type=int, required=True)
 
-    p = add("s-number", "s-number of one hypersurface via the cohomology route")
+    p = add("s-number", _cmd_s_number, "s-number of one hypersurface via the cohomology route")
     p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 1,1,3")
 
-    p = add("chern", "all Chern numbers of one hypersurface")
+    p = add("chern", _cmd_chern, "all Chern numbers of one hypersurface")
     p.add_argument("--partition", required=True)
 
-    p = add("power-check", "multinomial divisibility pattern for 3 <= n <= max")
+    p = add("power-check", _cmd_power_check, "multinomial divisibility pattern for 3 <= n <= max")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (runs serially)")
 
-    p = add("polytope", "product-of-simplices polytope data and reflexivity verdict")
+    p = add("polytope", _cmd_polytope, "product-of-simplices polytope data and reflexivity verdict")
     p.add_argument("--partition", required=True)
 
     ks = sub.add_parser("ks", help="Hodge-number record pipeline")
     ks_sub = ks.add_subparsers(dest="ks_command", required=True)
-    for name, help_text in (
-        ("parse", "parse records, reporting positioned errors"),
-        ("filter", "keep records with the requested Hodge difference"),
-        ("ranges", "summarise achieved h11 values for both signs"),
+    for name, handler, help_text in (
+        ("parse", _cmd_ks_parse, "parse records, reporting positioned errors"),
+        ("filter", _cmd_ks_filter, "keep records with the requested Hodge difference"),
+        ("ranges", _cmd_ks_ranges, "summarise achieved h11 values for both signs"),
     ):
         p = ks_sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="input file, or - for stdin")
         p.add_argument("--strict", action="store_true", help="treat chi mismatches as errors")
-        p.add_argument(
-            "--format", choices=["json", "csv", "jsonl"], default="json"
-        )
+        p.add_argument("--format", choices=["json", "csv", "jsonl"], default="json")
         if name == "filter":
             p.add_argument("--target", type=int, required=True, choices=[1, -1])
     return parser
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], CommandOutput]] = {
-    "gn": _cmd_gn,
-    "alpha": _cmd_alpha,
-    "gcd": _cmd_gcd,
-    "certificate": _cmd_certificate,
-    "s-number": _cmd_s_number,
-    "chern": _cmd_chern,
-    "power-check": _cmd_power_check,
-    "polytope": _cmd_polytope,
-    "ks-parse": _cmd_ks_parse,
-    "ks-filter": _cmd_ks_filter,
-    "ks-ranges": _cmd_ks_ranges,
-}
-
-
-def _render_csv(columns: list[str], rows: list[dict]) -> str:
+def _render_csv(rows: list[dict]) -> str:
+    """The rows under a header of their keys; every row has the first one's keys."""
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([row[c] for c in columns] for row in rows)
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
     return buffer.getvalue()
 
 
@@ -465,7 +415,7 @@ def dumps(obj: object, depth: int = 0) -> str:
 
 
 def _parameters(args: argparse.Namespace) -> dict:
-    skip = {"command", "ks_command", "format"}
+    skip = {"command", "ks_command", "format", "handler"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -481,38 +431,43 @@ def run(argv: Sequence[str]) -> int:
     if args.format == "jsonl" and command not in STREAM_COMMANDS:
         parser.error("--format jsonl is only available for ks parse and ks filter")
 
+    output_format = args.format
     try:
-        output = _HANDLERS[command](args)
+        results, status = args.handler(args)
     except (ValueError, OSError) as exc:
-        envelope = {
-            "command": command,
-            "parameters": _parameters(args),
-            "results": {"error": str(exc)},
-            "status": "fail",
-        }
-        print(dumps(envelope))
-        return 1
+        # a refused or failed command reports in the envelope, whatever the format
+        results, status, output_format = {"error": str(exc)}, "fail", "json"
 
-    if args.format == "csv":
-        sys.stdout.write(_render_csv(output.columns, output.results["rows"]))
-    elif args.format == "jsonl":
+    if output_format == "csv":
+        sys.stdout.write(_render_csv(results["rows"]))
+    elif output_format == "jsonl":
+        errors = [{"error": True, **err} for err in results.get("errors", ())]
+        stream = results["records"] + errors
         encode = json.JSONEncoder(sort_keys=True).encode
-        for start in range(0, len(output.stream), JSONL_CHUNK):
-            chunk = output.stream[start : start + JSONL_CHUNK]
+        for start in range(0, len(stream), JSONL_CHUNK):
+            chunk = stream[start : start + JSONL_CHUNK]
             sys.stdout.write("".join([f"{encode(item)}\n" for item in chunk]))
     else:
         envelope = {
             "command": command,
             "parameters": _parameters(args),
-            "results": output.results,
-            "status": output.status,
+            "results": results,
+            "status": status,
         }
         print(dumps(envelope))
-    return 0 if output.status == "pass" else 1
+    return 0 if status == "pass" else 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device so that
+        # the flush at exit cannot raise again, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

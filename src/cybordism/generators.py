@@ -10,7 +10,6 @@ produces deterministic Bezout certificates witnessing it.
 
 from __future__ import annotations
 
-import bisect
 from collections import namedtuple
 
 from .cohomology import hypersurface_euler_characteristic, hypersurface_s_number
@@ -170,28 +169,22 @@ def _first_exact_pair(
     nprimes = len(target_vec)
     full = (1 << nprimes) - 1
     masks = []
-    for vec in vectors:
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for idx, vec in enumerate(vectors):
         mask = 0
         for bit in range(nprimes):
             if vec[bit] == target_vec[bit]:
                 mask |= 1 << bit
         masks.append(mask)
-    by_mask: dict[int, list[int]] = {}
-    for idx, mask in enumerate(masks):
-        by_mask.setdefault(mask, []).append(idx)
-    distinct = list(by_mask)
-    for i, mask_i in enumerate(masks):
+        first.setdefault(mask, idx)
+        last[mask] = idx
+    # A partner after an index is after its mask's first index too, so only first
+    # indices need trying: one has a partner iff a covering mask occurs last after it.
+    for mask_i, i in first.items():
         needed = full & ~mask_i
-        best = None
-        for mask in distinct:
-            if mask & needed == needed:
-                # indices are appended in increasing order, so bisection applies
-                candidates = by_mask[mask]
-                pos = bisect.bisect_right(candidates, i)
-                if pos < len(candidates) and (best is None or candidates[pos] < best):
-                    best = candidates[pos]
-        if best is not None:
-            return i, best
+        if any(mask & needed == needed and j > i for mask, j in last.items()):
+            return i, next(j for j in range(i + 1, len(masks)) if masks[j] & needed == needed)
     return None
 
 

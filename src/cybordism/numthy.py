@@ -91,6 +91,8 @@ def _valuation(p: int, a: int) -> int:
 
 def factorial_valuation(p: int, n: int) -> int:
     """Exponent of the prime ``p`` in ``n!`` (Legendre's formula)."""
+    if p < 2:
+        raise ValueError(f"valuation base must be prime, got {p}")
     total = 0
     q = p
     while q <= n:

@@ -17,7 +17,6 @@ from collections.abc import Iterable, Iterator
 from .numthy import (
     _valuation,
     factorial_valuation,
-    is_prime,
     p_adic_digits,
     prime_power,
     primes_upto,
@@ -204,15 +203,6 @@ def _weighted_part_valuations(p: int, top: int) -> list[int]:
     # p in a weighted multinomial beyond v_p(n!): m*v_p(m+1) - v_p(m!).
     # ``p`` must be prime; callers check it.
     return [m * _valuation(p, m + 1) - factorial_valuation(p, m) for m in range(top + 1)]
-
-
-def weighted_multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
-    """Exponent of the prime ``p`` in ``weighted_multinomial(sigma)``."""
-    sigma = tuple(sigma)
-    if not is_prime(p):
-        raise ValueError(f"valuation base must be prime, got {p}")
-    table = _weighted_part_valuations(p, max(sigma))
-    return factorial_valuation(p, sum(sigma)) + sum(table[part] for part in sigma)
 
 
 def _capped_minima(cost: list[int]) -> list[int | None]:

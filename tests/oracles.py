@@ -11,8 +11,9 @@ Chern class, the hypersurface Chern classes from the inverse series of
 truncation to the constructor, and the hypersurface s-number and Chern
 numbers from full products read at the top monomial.  The recursive
 reverse-lexicographic partition generator the library replaced with an
-iterative one is here too, as is ``g(n)`` read off the prime-power shape
-of ``n``, because only the tests use it.  So is the line-by-line KS
+iterative one is here too, as are ``g(n)`` read off the prime-power shape
+of ``n`` and one prime's exponent in a weighted multinomial, because only
+the tests use them.  So is the line-by-line KS
 record parser, which checks each matrix row with its own regex and builds
 each record by keyword.
 """
@@ -35,6 +36,7 @@ from cybordism.numthy import (
     Case,
     CaseTag,
     factorial_valuation,
+    is_prime,
     prime_power,
     primes_upto,
     valuation,
@@ -43,6 +45,7 @@ from cybordism.partitions import (
     DivisibilityEntry,
     DivisibilityReport,
     Partition,
+    _weighted_part_valuations,
     digit_partition,
     multinomial,
     split_prime_power,
@@ -105,6 +108,15 @@ def weighted_multinomial_value(parts: list[int]) -> int:
     return value
 
 
+def weighted_multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
+    """Exponent of the prime ``p`` in ``weighted_multinomial(sigma)``, from per-part terms."""
+    sigma = tuple(sigma)
+    if not is_prime(p):
+        raise ValueError(f"valuation base must be prime, got {p}")
+    table = _weighted_part_valuations(p, max(sigma))
+    return factorial_valuation(p, sum(sigma)) + sum(table[part] for part in sigma)
+
+
 def gcd_fold(n: int) -> int:
     """Gcd of the weighted multinomials of every capped partition of ``n``."""
     acc = 0
@@ -118,6 +130,17 @@ def scan_min(n: int, p: int) -> int:
     top = factorial_valuation(p, n)
     part_val = [factorial_valuation(p, m) for m in range(n + 1)]
     return min(top - sum(map(part_val.__getitem__, parts)) for parts in capped_partitions(n))
+
+
+def first_exact_pair(
+    vectors: list[tuple[int, ...]], target_vec: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """Least ``(i, j)`` with ``i < j`` whose vectors between them meet the target at every prime."""
+    for i, first in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            if all(t in (a, b) for a, b, t in zip(first, vectors[j], target_vec)):
+                return i, j
+    return None
 
 
 def power_check_report(n: int) -> DivisibilityReport:

@@ -1,5 +1,6 @@
 """Command-line surface: envelopes, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -19,6 +20,7 @@ from cybordism.cli import dumps, run
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "ks_sample.txt")
 MALFORMED = str(DATA / "ks_malformed.txt")
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def invoke(capsys, argv):
@@ -73,6 +75,22 @@ def test_csv_and_json_agree_on_all_table_subcommands(capsys, argv):
         assert set(csv_row) == set(json_row)
         for key, value in json_row.items():
             assert csv_row[key] == ("" if value is None else str(value))
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["gn", "--max", "12"], "n,m1,m2,g"),
+        (["alpha", "--n", "7"], "partition,multinomial,alpha,s_number,match"),
+        (["gcd", "--max", "20"], "n,gcd,expected,case,ok"),
+        (["power-check", "--max", "12"], "n,prime,kind,witness,witness_valuation,scan_min,ok"),
+        (["chern", "--partition", "4"], "index,value"),
+    ],
+)
+def test_csv_header_lines(capsys, argv, header):
+    code, out = invoke(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert out.split("\n", 1)[0] == header
 
 
 def test_alpha_envelope(capsys):
@@ -326,6 +344,17 @@ def test_ks_filter_jsonl(capsys):
     assert all(r["consistent"] for r in lines)
 
 
+def test_ks_parse_jsonl_puts_error_rows_after_the_records(capsys):
+    _, doc = envelope(capsys, ["ks", "parse", "--input", MALFORMED])
+    code, out = invoke(capsys, ["ks", "parse", "--input", MALFORMED, "--format", "jsonl"])
+    assert code == 1
+    records, errors = doc["results"]["records"], doc["results"]["errors"]
+    # in the file, some errors come before some records
+    assert min(e["line"] for e in errors) < max(r["line"] for r in records)
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert lines == records + [{"error": True, **e} for e in errors]
+
+
 def test_ks_reads_stdin(capsys, monkeypatch):
     _, from_file = envelope(capsys, ["ks", "ranges", "--input", SAMPLE])
     with open(SAMPLE, encoding="utf-8") as handle:
@@ -411,6 +440,68 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+
+
+def _command(argv):
+    return "-".join(argv[:2]) if argv[0] == "ks" else argv[0]
+
+
+def _leaf_parsers(parser, prefix=()):
+    """``(command name, parser)`` for every subparser that takes no further subcommand."""
+    subactions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subactions:
+        yield "-".join(prefix), parser
+    for action in subactions:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def test_every_command_has_a_handler_and_a_golden():
+    # a leaf without a handler would end in a traceback, not an envelope
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert len(leaves) == 11
+    for name, parser in leaves.items():
+        assert callable(parser.get_default("handler")), name
+    assert cli.TABLE_COMMANDS | cli.STREAM_COMMANDS <= set(leaves)
+    index = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
+    assert {_command(e["argv"]) for e in index} == set(leaves)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gn", "--max", "4"],
+        ["gn", "--max", "2"],
+        ["gcd", "--max", "5", "--jobs", "2"],
+        ["certificate", "--n", "4"],
+        ["polytope", "--partition", "1,2"],
+        ["ks", "filter", "--input", SAMPLE, "--target", "-1"],
+        ["ks", "ranges", "--input", "no-such-file.txt"],
+    ],
+)
+def test_parameters_never_hold_the_handler(capsys, argv):
+    _, doc = envelope(capsys, argv)
+    assert "handler" not in doc["parameters"]
+    # they are the command's own options, defaults included, but its --format
+    parser = dict(_leaf_parsers(cli.build_parser()))[_command(argv)]
+    assert set(doc["parameters"]) == {a.dest for a in parser._actions} - {"help", "format"}
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    # about 1.7 MB of output, far more than a pipe holds
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cybordism", "gn", "--max", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 def test_module_entry_point_end_to_end():

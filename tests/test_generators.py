@@ -10,6 +10,7 @@ import oracles
 from cybordism.generators import (
     CERTIFICATE_MAX_N,
     GCD_MAX_N,
+    _first_exact_pair,
     certificate,
     extended_gcd,
     low_dimension_table,
@@ -97,6 +98,49 @@ def test_certificate_golden_pairs():
     assert cert5.as_mapping() == {Partition([1, 1, 3]): 56, Partition([1, 2, 2]): -59}
     assert [s.label for s, _ in cert5.entries] == ["1,1,3", "1,2,2"]
     assert cert5.achieved == 20
+
+
+def test_two_entry_certificates_up_to_34():
+    two = [n for n in range(3, 35) if len(certificate(n).entries) == 2]
+    assert two == [4, 5, 6, 8, 17, 18, 32]
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.tuples(*[st.integers(0, 3)] * k),
+            st.lists(st.tuples(*[st.booleans()] * k), max_size=12),
+        )
+    )
+)
+def test_first_exact_pair_is_the_least_covering_pair(case):
+    # each prime of a vector is at the target's exponent or one above it
+    target_vec, raised = case
+    vectors = [tuple(t + r for t, r in zip(target_vec, bumps)) for bumps in raised]
+    assert _first_exact_pair(vectors, target_vec) == oracles.first_exact_pair(vectors, target_vec)
+
+
+def test_first_exact_pair_cases():
+    target = (0, 0, 0)
+    a, b, c = (0, 1, 1), (1, 0, 0), (1, 1, 0)
+    cases = {
+        # a repeated mask: the partner found is after the first index
+        (a, a, b): (0, 2),
+        (a, b, a, b): (0, 1),
+        (c, a, c, b): (1, 3),
+        # no pair, none at all, or a single vector
+        (a, a, c): None,
+        (): None,
+        (b,): None,
+        # the only partner is the last index
+        (b, b, b, a): (0, 3),
+        # a full mask pairs with any other index
+        (c, c, target): (0, 2),
+        (target, target): (0, 1),
+    }
+    for vectors, expected in cases.items():
+        assert _first_exact_pair(list(vectors), target) == expected, vectors
+        assert oracles.first_exact_pair(list(vectors), target) == expected, vectors
 
 
 def test_certificate_rejects_small_n():

@@ -18,6 +18,7 @@ from cybordism.numthy import (
     su_generator_s_number,
     valuation,
 )
+from cybordism.partitions import multinomial_valuation
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -208,6 +209,15 @@ def test_factorial_valuation_matches_direct():
     for p in (2, 3, 5, 7):
         for n in range(0, 60):
             assert factorial_valuation(p, n) == naive_valuation(p, math.factorial(n))
+
+
+def test_factorial_valuation_rejects_a_base_below_two():
+    # q = p never grew past n for p = 1, and p = 0 divided by zero
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match="must be prime"):
+            factorial_valuation(p, 5)
+    with pytest.raises(ValueError, match="must be prime"):
+        multinomial_valuation(1, (2, 3))
 
 
 def test_primes_upto():

@@ -2,11 +2,10 @@
 
 import pytest
 
-from cybordism import cli, generators, numthy, partitions, toricdata
+from cybordism import generators, numthy, partitions, toricdata
 from cybordism.toricdata import KSRecord
 
 TYPES = [
-    cli.CommandOutput,
     numthy.CaseTag,
     partitions.DivisibilityEntry,
     partitions.DivisibilityReport,
@@ -46,8 +45,6 @@ def test_defaults_and_positional_construction():
     )
     assert partitions.DivisibilityReport(5).entries == ()
     assert partitions.DivisibilityReport(5).passed
-    output = cli.CommandOutput({"rows": []}, "pass")
-    assert (output.columns, output.stream) == (None, None)
 
 
 def test_ks_record_line_is_not_part_of_its_value():
