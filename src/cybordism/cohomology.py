@@ -15,23 +15,31 @@ hyperplane line bundle per factor, so the total Chern class is
 evaluated on ``V`` by multiplying with ``c_1(V)`` (the class dual to N)
 and pairing with the fundamental class, so ``N`` itself is never
 constructed.
+
+:class:`TruncatedPolynomial` is the dense model, one term per monomial.
+The evaluators work in :class:`_OrbitRing` instead: every class they use
+is unchanged by permuting equal factors, so it is stored once per orbit
+of monomials under those permutations.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import combinations_with_replacement, groupby, product
+from math import comb, factorial, prod
 
 from .partitions import Partition, check_budget, count_partitions, enumerate_partitions
 
 # Largest accepted ``prod(d_i + 1) * n`` (ring monomials times degree) for
 # the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16, is
-# admitted (its s-number takes about 1 s on a 2-core VM); one more part of
-# size 1 is refused.
+# admitted; one more part of size 1 is refused.  Both budgets count dense
+# monomials, so they were set for the dense model: in the orbit basis
+# (1,)*16 has 17 orbits and its s-number takes under 1 ms on a 2-core VM.
 RING_COST_BUDGET = 2**21
 # Largest accepted ``p(n - 1) * prod(d_i + 1)**2`` for a Chern-number table.
-# (1,)*12 and (50,), about 2 s and 1 s on a 2-core VM, are admitted; (60,),
-# with p(59) = 831,820 entries, and (1,)*13 are refused.
+# (1,)*12 and (50,), about 0.01 s and 0.7 s on a 2-core VM, are admitted;
+# (60,), with p(59) = 831,820 entries, and (1,)*13 are refused.
 CHERN_TABLE_BUDGET = 2**30
 
 
@@ -204,13 +212,210 @@ def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
     return TruncatedPolynomial(space, terms)
 
 
-def _pair(x: TruncatedPolynomial, y: TruncatedPolynomial) -> int:
-    """``<x * y, [V]>`` as ``sum x_e * y_{top - e}``: one lookup per term, not per term pair."""
-    if len(y.terms) < len(x.terms):
-        x, y = y, x
-    top = x.space.top_monomial
-    get = y.terms.get
-    return sum(c * get(tuple(map(operator.sub, top, e)), 0) for e, c in x.terms.items())
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _rearrangements(values: list[int]) -> Iterator[tuple[int, ...]]:
+    # the distinct permutations of ascending ``values``, in lexicographic order
+    while True:
+        yield tuple(values)
+        i = len(values) - 2
+        while i >= 0 and values[i] >= values[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(values) - 1
+        while values[j] <= values[i]:
+            j -= 1
+        values[i], values[j] = values[j], values[i]
+        values[i + 1 :] = reversed(values[i + 1 :])
+
+
+class _OrbitRing:
+    """The block-symmetric classes of ``H*(V; Z)``, in the basis of orbit sums.
+
+    Equal parts of sigma form blocks, and permuting the factors within a
+    block fixes every class the evaluators use: ``c_1``, ``c(V)``, the
+    power sums and each ``c_j(N)``.  A basis element is the sum of the
+    monomials in one orbit of those permutations; an element is a dict
+    from orbit to the coefficient each of its monomials carries.  A block
+    of ``m`` parts ``d`` has ``C(m + d, d)`` orbits, so ``(1,)*k`` has
+    ``k + 1`` where the dense model has ``2**k`` monomials.
+
+    A monomial is an int with one bit field per factor, in sigma's
+    order, each with a guard bit: two monomials multiply by one integer
+    addition, and an exponent past its cap sets a guard bit.  An orbit
+    is named by its representative, the monomial whose exponents ascend
+    within each block.  With distinct parts every orbit is one monomial
+    and a product is the dense loop.
+
+    Only structure constants of the ring enter, never the
+    weighted-multinomial formula, so the s-numbers stay a check on it.
+    The coefficient of orbit T in ``x y`` counts how a monomial of T
+    splits into monomials of the orbits of x and y.  Summed over the
+    ``|T|`` monomials of T, that is ``|A|`` times the number of monomials
+    b of the orbit of y with ``a + b`` in T, for the representative a of
+    an orbit A of x; :meth:`mul` accumulates those counts and divides by
+    ``|T|``.  The pairing weights each orbit by its size.
+    """
+
+    def __init__(self, sigma: Partition):
+        self.sigma = sigma
+        self.n = sigma.n
+        self.fields: list[tuple[int, int]] = []  # (shift, mask) per factor
+        shift = bias = guard = top = 0
+        for d in sigma:
+            width = d.bit_length() + 1
+            self.fields.append((shift, (1 << width) - 1))
+            # the digit a + b + bias reaches the guard bit iff a + b > d
+            bias |= ((1 << width - 1) - 1 - d) << shift
+            guard |= 1 << shift + width - 1
+            top |= d << shift
+            shift += width
+        self.bias, self.guard, self.top = bias, guard, top
+        self.blocks: list[tuple[int, int, int]] = []  # (d, first factor, end)
+        start = 0
+        for d, run in groupby(sigma):
+            end = start + len(list(run))
+            self.blocks.append((d, start, end))
+            start = end
+        # with distinct parts every orbit is one monomial of size 1
+        self.symmetric = len(self.blocks) < len(sigma)
+        self.canonical = _Memo(self._canonical)
+        self.sizes = _Memo(self._size)
+        self.members = _Memo(self._members)
+        self.raises = _Memo(self._raises)
+        self.c1 = self.power_sum(1)
+
+    def _pack(self, exponents: Iterable[int]) -> int:
+        return sum(e << shift for e, (shift, _) in zip(exponents, self.fields))
+
+    def _unpack(self, key: int) -> list[int]:
+        return [(key >> shift) & mask for shift, mask in self.fields]
+
+    def _canonical(self, key: int) -> int:
+        exponents = self._unpack(key)
+        for _, start, end in self.blocks:
+            exponents[start:end] = sorted(exponents[start:end])
+        return self._pack(exponents)
+
+    def _size(self, key: int) -> int:
+        exponents, size = self._unpack(key), 1
+        for _, start, end in self.blocks:
+            size *= factorial(end - start)
+            for _, run in groupby(exponents[start:end]):
+                size //= factorial(len(list(run)))
+        return size
+
+    def _members(self, key: int) -> list[int]:
+        exponents = self._unpack(key)
+        blocks = [_rearrangements(exponents[start:end]) for _, start, end in self.blocks]
+        return [self._pack(sum(pieces, ())) for pieces in product(*blocks)]
+
+    def _raises(self, key: int) -> list[tuple[int, int]]:
+        # c_1 = sum (d + 1) u_i raises one exponent v < d of a block by 1.
+        # Raising its last v keeps the block ascending, and any of the
+        # v + 1 of the target could have been the raised one.
+        exponents, raises = self._unpack(key), []
+        for d, start, end in self.blocks:
+            block = exponents[start:end]
+            for i, v in enumerate(block):
+                if v < d and (i + 1 == len(block) or block[i + 1] > v):
+                    unit = 1 << self.fields[start + i][0]
+                    raises.append((key + unit, (d + 1) * (block.count(v + 1) + 1)))
+        return raises
+
+    def keys(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Every orbit, with its representative's exponents in sigma's order."""
+        blocks = (combinations_with_replacement(range(d + 1), end - start) for d, start, end in self.blocks)
+        for pieces in product(*blocks):
+            exponents = sum(pieces, ())
+            yield self._pack(exponents), exponents
+
+    def power_sum(self, j: int) -> dict[int, int]:
+        """``sum (d_i + 1) u_i^j``: per block with ``j <= d``, ``d + 1`` times one orbit."""
+        return {j << self.fields[end - 1][0]: d + 1 for d, _, end in self.blocks if j <= d}
+
+    def chern_classes(self) -> list[dict[int, int]]:
+        """``[c_1(N), ..., c_{n-1}(N)]`` by ``c_j(N) = c_j(V) - c_1 c_{j-1}(N)``.
+
+        A monomial ``u^e`` of ``c(V) = prod (1 + u_i)^{d_i + 1}`` carries
+        ``prod C(d_i + 1, e_i)``.
+        """
+        caps = [d + 1 for d in self.sigma]
+        total: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for key, exponents in self.keys():
+            degree = sum(exponents)
+            if degree < self.n:
+                total[degree][key] = prod(map(comb, caps, exponents))
+        classes = [total[0]]
+        for part in total[1:]:
+            out = dict(part)
+            for key, coeff in self.times_c1(classes[-1]).items():
+                out[key] = out.get(key, 0) - coeff
+            classes.append({key: coeff for key, coeff in out.items() if coeff})
+        return classes[1:]
+
+    def times_c1(self, x: dict[int, int]) -> dict[int, int]:
+        """``c_1 x``, one exponent raised per term of ``c_1``."""
+        if not self.symmetric:
+            # each monomial is met about once, so the packed product beats
+            # building and keeping a raise list per monomial
+            return self.mul(x, self.c1)
+        out: dict[int, int] = {}
+        raises = self.raises
+        for key, coeff in x.items():
+            for target, c in raises[key]:
+                out[target] = out.get(target, 0) + c * coeff
+        return {key: coeff for key, coeff in out.items() if coeff}
+
+    def mul(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """``x y``: each orbit of x times every monomial of y, the cheaper way round."""
+        bias, guard, symmetric = self.bias, self.guard, self.symmetric
+        sizes, canonical = self.sizes, self.canonical
+        if symmetric:
+            if len(x) * sum(map(sizes.__getitem__, y)) > len(y) * sum(map(sizes.__getitem__, x)):
+                x, y = y, x
+            ys = [(b, cb) for key, cb in y.items() for b in self.members[key]]
+        else:
+            ys = list(y.items())
+        out: dict[int, int] = {}
+        for a, ca in x.items():
+            if symmetric:
+                ca *= sizes[a]
+            a += bias
+            for b, cb in ys:
+                t = a + b
+                if t & guard:
+                    continue
+                t -= bias
+                if symmetric:
+                    t = canonical[t]
+                out[t] = out.get(t, 0) + ca * cb
+        if symmetric:
+            return {t: c // sizes[t] for t, c in out.items() if c}
+        return {t: c for t, c in out.items() if c}
+
+    def pair(self, x: dict[int, int], y: dict[int, int]) -> int:
+        """``<x y, [V]>`` as ``sum |O| x_O y_{top - O}`` over the orbits O of x."""
+        if len(y) < len(x):
+            x, y = y, x
+        get, top = y.get, self.top
+        if not self.symmetric:
+            return sum(coeff * get(top - key, 0) for key, coeff in x.items())
+        canonical, sizes = self.canonical, self.sizes
+        return sum(sizes[key] * coeff * get(canonical[top - key], 0) for key, coeff in x.items())
 
 
 def _check_ring_cost(sigma: Partition) -> None:
@@ -231,45 +436,20 @@ def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
     embedding is the restriction of the anticanonical line bundle, so
     ``s_{n-1}(N)`` pushes forward to
     ``< s_{n-1}(V) c_1(V) - c_1(V)^n , [V] >``, evaluated here purely by
-    ring arithmetic, with ``<c_1^n, [V]>`` paired as ``c_1^a`` times
-    ``c_1^{n - a}``, ``a = ceil(n / 2)``.  Raises ``ValueError`` when
-    ``n < 2`` or when ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
+    ring arithmetic in the orbit basis of :class:`_OrbitRing`, with
+    ``<c_1^n, [V]>`` paired as ``c_1^a`` times ``c_1^{n - a}``,
+    ``a = ceil(n / 2)``.  Raises ``ValueError`` when ``n < 2`` or when
+    ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
     _check_ring_cost(sigma)
-    space = ProjectiveProduct(sigma)
-    n = space.n
-    c1 = space.first_chern_class()
+    ring = _OrbitRing(sigma)
+    n = ring.n
+    c1 = ring.c1
     powers = [c1]  # c_1^1, ..., c_1^{ceil(n / 2)}
     while len(powers) < n - n // 2:
-        powers.append(powers[-1] * c1)
-    return _pair(power_sum_direct(space, n - 1), c1) - _pair(powers[-1], powers[n // 2 - 1])
-
-
-def hypersurface_chern_classes(
-    sigma: Partition | Iterable[int],
-) -> tuple[ProjectiveProduct, list[TruncatedPolynomial]]:
-    """Chern classes of the hypersurface, as classes on the ambient space.
-
-    The normal bundle of ``N`` is the restriction of the line bundle with
-    first Chern class ``c_1 = c_1(V)``, so ``c(V)|_N = c(N) (1 + c_1)``.
-    Comparing degrees gives ``c_j(N) = c_j(V) - c_1 c_{j-1}(N)`` from
-    ``c_0(N) = 1``: one product with the linear class ``c_1`` per degree.
-    Since ``1 + c_1`` is a unit, these are exactly the graded parts of
-    ``c(V) / (1 + c_1)`` in the ambient ring.  Returns the ambient space
-    and the list ``[c_1(N), ..., c_{n-1}(N)]`` of representatives.
-    Raises ``ValueError`` when ``n < 2`` or when ``prod(d_i + 1) * n``
-    exceeds :data:`RING_COST_BUDGET`.
-    """
-    sigma = Partition(sigma)
-    _check_ring_cost(sigma)
-    space = ProjectiveProduct(sigma)
-    c1 = space.first_chern_class()
-    total = chern_total(space)
-    classes = [space.one()]
-    for j in range(1, space.n):
-        classes.append(total.graded_part(j) - c1 * classes[-1])
-    return space, classes[1:]
+        powers.append(ring.times_c1(powers[-1]))
+    return ring.pair(ring.power_sum(n - 1), c1) - ring.pair(powers[-1], powers[n // 2 - 1])
 
 
 def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partition, int]:
@@ -277,29 +457,31 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
 
     Keys are partitions ``omega`` of ``n - 1`` in ``enumerate_partitions``
     order: the key ``(3, 1, 1)`` denotes the number ``c_1^2 c_3 [N]``.
-    Each value pairs the product of the classes of all but the last
-    (smallest) index, shared with the previous key where their prefixes
-    agree, with the closing class ``c_last(N) c_1(V)``, ``c_1(V)`` being
-    dual to ``N``.  A zero closing class, as ``c_1(N) = 0`` is for every
-    key with a part 1, gives 0 with no product.  The key ``(n - 1,)`` is
-    the Euler characteristic.  Inputs with ``n < 2`` or over the ring or
-    Chern-table budget are refused with ``ValueError`` before any work.
+    The classes ``c_j(N)`` are the ambient representatives of
+    :meth:`_OrbitRing.chern_classes`.  Each value pairs the product of
+    the classes of all but the last (smallest) index, shared with the
+    previous key where their prefixes agree, with the closing class
+    ``c_last(N) c_1(V)``, ``c_1(V)`` being dual to ``N``.  A zero closing
+    class, as ``c_1(N) = 0`` is for every key with a part 1, gives 0 with
+    no product.  The key ``(n - 1,)`` is the Euler characteristic.
+    Inputs with ``n < 2`` or over the ring or Chern-table budget are
+    refused with ``ValueError`` before any work.
     """
     sigma = Partition(sigma)
     # the ring check comes first, so a huge part never reaches count_partitions
     _check_ring_cost(sigma)
     sizes = [d + 1 for d in sigma] * 2 + [count_partitions(sigma.n - 1)]
     check_budget(sigma, "p(n - 1) * prod(d_i + 1)**2", "Chern-table", CHERN_TABLE_BUDGET, sizes)
-    space, classes = hypersurface_chern_classes(sigma)
-    c1 = space.first_chern_class()
-    closers = [c * c1 for c in classes]
-    numbers = dict.fromkeys(enumerate_partitions(space.n - 1), 0)
+    ring = _OrbitRing(sigma)
+    classes = ring.chern_classes()
+    closers = [ring.times_c1(c) for c in classes]
+    numbers = dict.fromkeys(enumerate_partitions(ring.n - 1), 0)
     # products[i] is the product of the classes named by prefix[:i]
     prefix: tuple[int, ...] = ()
-    products = [space.one()]
+    products = [{0: 1}]  # the orbit of exponents 0 has key 0
     for omega in numbers:
         closer = closers[omega[-1] - 1]
-        if closer.is_zero():
+        if not closer:
             continue
         # prefix sums to less than omega, so they differ before omega runs out
         shared = 0
@@ -308,15 +490,17 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
         prefix = omega[:-1]
         del products[shared + 1 :]
         for index in prefix[shared:]:
-            products.append(products[-1] * classes[index - 1])
-        numbers[omega] = _pair(products[-1], closer)
+            products.append(ring.mul(products[-1], classes[index - 1]))
+        numbers[omega] = ring.pair(products[-1], closer)
     return numbers
 
 
 def hypersurface_euler_characteristic(sigma: Partition | Iterable[int]) -> int:
     """Euler characteristic of the hypersurface: its top Chern number.
 
-    Refuses the inputs :func:`hypersurface_chern_classes` refuses.
+    Refuses the inputs :func:`hypersurface_s_number` refuses.
     """
-    space, classes = hypersurface_chern_classes(sigma)
-    return _pair(classes[-1], space.first_chern_class())
+    sigma = Partition(sigma)
+    _check_ring_cost(sigma)
+    ring = _OrbitRing(sigma)
+    return ring.pair(ring.chern_classes()[-1], ring.c1)

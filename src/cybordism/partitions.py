@@ -10,7 +10,6 @@ of those s-numbers reduces to exact partition combinatorics.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -213,16 +212,26 @@ def _capped_minima(cost: list[int]) -> list[int | None]:
     One unrestricted knapsack ``best[s]``, the least cost over all
     partitions of ``s``, serves every ``n``: a partition of ``n`` with
     parts at most ``n - 2`` is either all ones, or holds some part ``m``
-    in ``2..n-2`` beside an arbitrary partition of ``n - m``.  Exact and
-    O(len(cost)**2) in all.
+    in ``2..n-2`` beside an arbitrary partition of ``n - m``.
+
+    Only undominated part sizes enter the min-plus loops.  A size ``m``
+    is dominated when ``cost[m] >= cost[u] + best[m - u]`` for some
+    undominated ``u < m``; size 1 never is.  Swapping a dominated part
+    for ``u`` and a best partition of ``m - u`` never raises the cost
+    and only makes parts smaller, so the cap still holds and every
+    minimum is reached with undominated parts alone.  Exact, and
+    O(len(cost) * |undominated|) in all.
     """
     best = [0]
+    undominated: list[int] = []
     for s in range(1, len(cost)):
-        # cost[m] + best[s - m] for m = 1..s
-        best.append(min(map(operator.add, cost[1 : s + 1], reversed(best))))
+        split = min([cost[u] + best[s - u] for u in undominated], default=cost[s])
+        if cost[s] < split or s == 1:
+            undominated.append(s)
+        best.append(min(cost[s], split))
     return [None, None, None] + [
-        # all ones, or cost[m] + best[n - m] for m = 2..n-2
-        min([n * cost[1], *map(operator.add, cost[2 : n - 1], reversed(best[2 : n - 1]))])
+        # all ones, or cost[m] + best[n - m] for undominated m = 2..n-2
+        min([n * cost[1], *(cost[m] + best[n - m] for m in undominated if 2 <= m <= n - 2)])
         for n in range(3, len(cost) + 2)
     ]
 
@@ -299,8 +308,8 @@ def power_check(n: int) -> DivisibilityReport:
     The "every capped partition" statements rest on ``scan_min``, the
     least ``v_p`` of the multinomial over all partitions with parts at
     most ``n - 2``.  That valuation is ``v_p(n!)`` minus a sum of
-    per-part terms, so the minimum comes from one knapsack over the part
-    sizes (:func:`_capped_minima`), O(n**2) per prime, not a walk over
+    per-part terms, so the minimum comes from one knapsack over the
+    undominated part sizes (:func:`_capped_minima`), not a walk over
     every partition.
     """
     if n < 3:

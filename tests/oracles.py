@@ -4,13 +4,17 @@ The library finds its minima over the capped partitions of n (every part
 at most n - 2) with per-prime dynamic programs.  The oracles here walk
 every capped partition explicitly instead, with their own enumeration
 and arithmetic, so agreement checks the dynamic programs against an
-exhaustive scan.  The ring routes here are the slow ones the library
-replaced: the power-sum classes from Newton's identities on the total
-Chern class, the hypersurface Chern classes from the inverse series of
-``1 + c_1``, a product that multiplies every term pair and leaves
-truncation to the constructor, and the hypersurface s-number and Chern
-numbers from full products read at the top monomial.  The recursive
-reverse-lexicographic partition generator the library replaced with an
+exhaustive scan; the knapsack over every part size is here too.  The
+ring routes here are the slow ones the library replaced: the power-sum
+classes from Newton's identities on the total Chern class, the dense
+hypersurface Chern classes and the pairing that closed them, the same
+classes from the inverse series of ``1 + c_1``, a product that
+multiplies every term pair and leaves truncation to the constructor,
+and the hypersurface s-number and Chern numbers from full products read
+at the top monomial.  Orbit-basis elements of the library's ring are
+expanded to dense ones to compare them.  The Todd polynomial, in exact
+fractions, checks the Chern numbers with no ring arithmetic at all.  The
+recursive reverse-lexicographic partition generator the library replaced with an
 iterative one is here too, as are ``g(n)`` read off the prime-power shape
 of ``n`` and one prime's exponent in a weighted multinomial, because only
 the tests use them.  So is the line-by-line KS
@@ -20,8 +24,11 @@ each record by keyword.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from cybordism.cohomology import (
@@ -29,7 +36,6 @@ from cybordism.cohomology import (
     TruncatedPolynomial,
     chern_total,
     fundamental_pairing,
-    hypersurface_chern_classes,
     power_sum_direct,
 )
 from cybordism.numthy import (
@@ -98,6 +104,22 @@ def capped_partitions(n: int) -> Iterator[list[int]]:
         rest = low + rest - 1
         if parts[k] <= n - 2:
             yield parts[: k + 1]
+
+
+def capped_minima_over_all_sizes(cost: list[int]) -> list[int | None]:
+    """What ``partitions._capped_minima`` returns, with every part size in each min-plus step.
+
+    ``best[s]`` takes the least ``cost[m] + best[s - m]`` over all
+    ``m = 1..s``, and entry ``n`` the least of ``n * cost[1]`` and
+    ``cost[m] + best[n - m]`` over ``m = 2..n-2``: O(len(cost)**2).
+    """
+    best = [0]
+    for s in range(1, len(cost)):
+        best.append(min(map(operator.add, cost[1 : s + 1], reversed(best))))
+    return [None, None, None] + [
+        min([n * cost[1], *map(operator.add, cost[2 : n - 1], reversed(best[2 : n - 1]))])
+        for n in range(3, len(cost) + 2)
+    ]
 
 
 def weighted_multinomial_value(parts: list[int]) -> int:
@@ -182,6 +204,53 @@ def power_sum_class(chern: TruncatedPolynomial, j: int) -> TruncatedPolynomial:
     return s[j]
 
 
+def pair(x: TruncatedPolynomial, y: TruncatedPolynomial) -> int:
+    """``<x * y, [V]>`` as ``sum x_e * y_{top - e}``: one lookup per term, not per term pair."""
+    if len(y.terms) < len(x.terms):
+        x, y = y, x
+    top = x.space.top_monomial
+    get = y.terms.get
+    return sum(c * get(tuple(map(operator.sub, top, e)), 0) for e, c in x.terms.items())
+
+
+def hypersurface_chern_classes(
+    sigma: Iterable[int],
+) -> tuple[ProjectiveProduct, list[TruncatedPolynomial]]:
+    """The ambient space and ``[c_1(N), ..., c_{n-1}(N)]`` in the dense model.
+
+    ``c(V)|_N = c(N) (1 + c_1)`` gives ``c_j(N) = c_j(V) - c_1 c_{j-1}(N)``
+    from ``c_0(N) = 1``, with ``c(V)`` from :func:`chern_total`.
+    """
+    space = ProjectiveProduct(sigma)
+    c1 = space.first_chern_class()
+    total = chern_total(space)
+    classes = [space.one()]
+    for j in range(1, space.n):
+        classes.append(total.graded_part(j) - c1 * classes[-1])
+    return space, classes[1:]
+
+
+def expand(ring, x: dict[int, int]) -> TruncatedPolynomial:
+    """The dense element of an orbit-basis element of ``cohomology._OrbitRing``.
+
+    Every exponent vector that sorts, within each run of equal parts, to
+    an orbit's representative gets the orbit's coefficient.
+    """
+    runs = [(d, len(list(run))) for d, run in itertools.groupby(ring.sigma)]
+    exponents = dict(ring.keys())
+    terms = {}
+    for key, coeff in x.items():
+        rep, blocks, start = exponents[key], [], 0
+        for d, length in runs:
+            piece = tuple(sorted(rep[start : start + length]))
+            every = itertools.product(range(d + 1), repeat=length)
+            blocks.append([e for e in every if tuple(sorted(e)) == piece])
+            start += length
+        for pieces in itertools.product(*blocks):
+            terms[sum(pieces, ())] = coeff
+    return TruncatedPolynomial(ProjectiveProduct(ring.sigma), terms)
+
+
 def chern_classes_by_inverse_series(sigma: Iterable[int]) -> list[TruncatedPolynomial]:
     """``[c_1(N), ..., c_{n-1}(N)]`` as graded parts of ``c(V) (1 + c_1)^{-1}``.
 
@@ -223,6 +292,53 @@ def chern_numbers_by_full_products(sigma: Iterable[int]) -> dict[Partition, int]
             product = product * classes[index - 1]
         numbers[Partition(omega)] = fundamental_pairing(product * c1)
     return numbers
+
+
+def todd_polynomial(degree: int) -> dict[tuple[int, ...], Fraction]:
+    """The degree-``degree`` Todd polynomial, keyed by decreasing Chern index tuples.
+
+    Todd is the multiplicative sequence of ``Q(x) = x / (1 - e^{-x})``:
+    with ``log Q(x) = sum a_k x^k``, the log of the Todd class is
+    ``sum a_k p_k`` for the power sums ``p_k`` of the Chern roots.  Each
+    ``p_k`` is taken to Chern classes by Newton's identities, and the
+    exponential is expanded, all in exact fractions.  The key ``(2, 2)``
+    is ``c_2^2``.
+    """
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict[tuple[int, ...], Fraction] = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                key = tuple(sorted(ka + kb, reverse=True))
+                if sum(key) <= degree:
+                    out[key] = out.get(key, 0) + va * vb
+        return out
+
+    # f = 1/Q = (1 - e^{-x}) / x; log f = h solves k h_k = k f_k - sum_j j h_j f_{k-j}
+    f = [Fraction((-1) ** j, math.factorial(j + 1)) for j in range(degree + 1)]
+    h = [Fraction(0)] * (degree + 1)
+    for k in range(1, degree + 1):
+        h[k] = f[k] - sum((j * h[j] * f[k - j] for j in range(1, k)), Fraction(0)) / k
+    chern = [{(i,): Fraction(1)} for i in range(degree + 1)]
+    power_sums = [{}]
+    log_todd: dict[tuple[int, ...], Fraction] = {}
+    for k in range(1, degree + 1):
+        # p_k = sum_{i<k} (-1)^(i-1) c_i p_{k-i} + (-1)^(k-1) k c_k
+        p_k = {(k,): Fraction((-1) ** (k - 1) * k)}
+        for i in range(1, k):
+            for key, value in times(chern[i], power_sums[k - i]).items():
+                p_k[key] = p_k.get(key, 0) + (-1) ** (i - 1) * value
+        power_sums.append(p_k)
+        for key, value in p_k.items():
+            log_todd[key] = log_todd.get(key, 0) - h[k] * value
+    todd: dict[tuple[int, ...], Fraction] = {}
+    term: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for m in range(1, degree + 1):
+        term = {key: value / m for key, value in times(term, log_todd).items()}
+        for key, value in term.items():
+            if sum(key) == degree:
+                todd[key] = todd.get(key, 0) + value
+    return {key: value for key, value in todd.items() if value}
 
 
 def uncapped_product(a: TruncatedPolynomial, b: TruncatedPolynomial) -> dict:

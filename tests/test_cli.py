@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cybordism import cli
+import cybordism
+from cybordism import cli, cohomology
 from cybordism.cli import dumps, run
 
 DATA = Path(__file__).parent / "data"
@@ -197,6 +199,9 @@ def test_commands_load_only_the_modules_they_use():
         return probe(f"import json, sys\nfrom cybordism import cli\ncli.run({argv!r})\n{LOADED}")
 
     assert loaded(["gn", "--max", "3"]) == ["cybordism.cli", "cybordism.numthy"]
+    # generators imports cohomology only to re-verify certificates
+    gcd = loaded(["gcd", "--max", "6"])
+    assert gcd == ["cybordism.cli", "cybordism.generators", "cybordism.numthy", "cybordism.partitions"]
     # toricdata imports partitions (and so numthy) only to build polytopes
     assert loaded(["ks", "ranges", "--input", SAMPLE]) == ["cybordism.cli", "cybordism.toricdata"]
     polytope = loaded(["polytope", "--partition", "1,2"])
@@ -587,3 +592,32 @@ def test_ks_filter_and_ranges_count_as_they_stream(capsys):
     code, doc = envelope(capsys, ["ks", "ranges", "--input", MALFORMED])
     assert (code, doc["status"]) == (1, "fail")
     assert doc["results"]["counts"] == {"parsed": 2, "errors": 11, "inconsistent": 1}
+
+
+def test_tracer_installs_without_changing_output(capsys):
+    # perfbench/tracing.py wraps every public library function and
+    # TruncatedPolynomial.__mul__; a refactor that breaks it breaks --trace 1
+    spec = importlib.util.spec_from_file_location("tracing", GOLDEN.parent / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    jobs = [["s-number", "--partition", "1,1,1,1"], ["chern", "--partition", "1,1,2"]]
+    plain = [invoke(capsys, argv) for argv in jobs]
+    originals = dict(vars(cohomology))
+    counts = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        tracer.install(cybordism)
+        try:
+            assert cohomology.hypersurface_s_number is not originals["hypersurface_s_number"]
+            assert [invoke(capsys, argv) for argv in jobs] == plain
+        finally:
+            tracer.uninstall()
+        counts.append((dict(tracer.calls), set(tracer.self_s)))
+    assert counts[0] == counts[1]
+    calls, layers = counts[0]
+    assert calls["cohomology.hypersurface_s_number"] == 1
+    assert calls["cohomology.hypersurface_chern_numbers"] == 1
+    # the evaluators run in the orbit basis, not on TruncatedPolynomial
+    assert calls.get(tracing.RING_MUL, 0) == 0
+    assert {"cli", "cohomology", "partitions"} <= layers
+    assert dict(vars(cohomology)) == originals

@@ -1,5 +1,7 @@
 """Truncated ring arithmetic and hypersurface characteristic numbers."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,9 @@ from cybordism.cohomology import (
     ProjectiveProduct,
     TruncatedPolynomial,
     _check_ring_cost,
-    _pair,
+    _OrbitRing,
     chern_total,
     fundamental_pairing,
-    hypersurface_chern_classes,
     hypersurface_chern_numbers,
     hypersurface_euler_characteristic,
     hypersurface_s_number,
@@ -137,24 +138,25 @@ def test_s_number_equals_negated_weighted_multinomial():
 
 
 def test_s_number_matches_full_products():
-    shapes = [sigma for n in range(2, 11) for sigma in enumerate_partitions(n)]
-    for sigma in shapes + [Partition((1,) * 12)]:
+    shapes = [sigma for n in range(2, 13) for sigma in enumerate_partitions(n)]
+    for sigma in shapes + [Partition((1,) * 13), Partition((2,) * 6)]:
         assert hypersurface_s_number(sigma) == oracles.s_number_by_full_products(sigma), sigma
 
 
 def test_hypersurface_first_chern_class_vanishes():
     for n in range(2, 9):
         for sigma in enumerate_partitions(n):
-            _, classes = hypersurface_chern_classes(sigma)
-            assert classes[0].is_zero(), sigma
+            assert _OrbitRing(sigma).chern_classes()[0] == {}, sigma
 
 
 def test_chern_classes_match_inverse_series():
     shapes = [sigma for n in range(2, 9) for sigma in enumerate_partitions(n)]
     shapes += [Partition(parts) for parts in ((1,) * 8, (7, 6, 5), (10, 10))]
     for sigma in shapes:
-        _, classes = hypersurface_chern_classes(sigma)
-        assert classes == oracles.chern_classes_by_inverse_series(sigma), sigma
+        ring = _OrbitRing(sigma)
+        expected = oracles.chern_classes_by_inverse_series(sigma)
+        assert [oracles.expand(ring, c) for c in ring.chern_classes()] == expected, sigma
+        assert oracles.hypersurface_chern_classes(sigma)[1] == expected, sigma
 
 
 def test_chern_numbers_match_full_products():
@@ -178,11 +180,12 @@ def test_chern_numbers_of_k3_hypersurfaces():
 def test_k3_from_triple_product_degree_two_class():
     # c(N) restricted from prod(1 + 2 u_i) / (1 + 2(u1 + u2 + u3)):
     # the degree-2 piece is 4 (u1 u2 + u1 u3 + u2 u3)
-    space, classes = hypersurface_chern_classes([1, 1, 1])
+    ring = _OrbitRing(Partition([1, 1, 1]))
     expected = TruncatedPolynomial(
-        space, {(1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4}
+        ProjectiveProduct([1, 1, 1]), {(1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4}
     )
-    assert classes[1] == expected
+    assert oracles.expand(ring, ring.chern_classes()[1]) == expected
+    assert oracles.hypersurface_chern_classes([1, 1, 1])[1][1] == expected
 
 
 def test_chern_numbers_with_c1_vanish():
@@ -202,6 +205,28 @@ def test_dimension_specific_identities():
     for sigma in enumerate_partitions(3):
         numbers = hypersurface_chern_numbers(sigma)
         assert -2 * numbers[Partition([2])] == hypersurface_s_number(sigma)
+
+
+def test_todd_genus_of_chern_table():
+    # chi(O_N) = chi(O_V) - chi(K_V) = 1 - (-1)^n for N anticanonical in V
+    for n in range(2, 10):
+        todd = oracles.todd_polynomial(n - 1)
+        for sigma in enumerate_partitions(n):
+            numbers = hypersurface_chern_numbers(sigma)
+            assert sum(t * numbers[omega] for omega, t in todd.items()) == 1 - (-1) ** n, sigma
+
+
+def test_todd_polynomial_low_degrees():
+    assert oracles.todd_polynomial(1) == {(1,): Fraction(1, 2)}
+    assert oracles.todd_polynomial(2) == {(2,): Fraction(1, 12), (1, 1): Fraction(1, 12)}
+    assert oracles.todd_polynomial(3) == {(2, 1): Fraction(1, 24)}
+    assert oracles.todd_polynomial(4) == {
+        (4,): Fraction(-1, 720),
+        (3, 1): Fraction(1, 720),
+        (2, 2): Fraction(3, 720),
+        (2, 1, 1): Fraction(4, 720),
+        (1, 1, 1, 1): Fraction(-1, 720),
+    }
 
 
 def test_euler_characteristics():
@@ -261,7 +286,34 @@ def test_ring_laws(triple):
 @given(pairs)
 def test_pair_is_fundamental_pairing_of_product(pair):
     x, y = pair
-    assert _pair(x, y) == fundamental_pairing(x * y)
+    assert oracles.pair(x, y) == fundamental_pairing(x * y)
+
+
+# the block shapes cover orbit blocks beside distinct parts, two orbit
+# blocks, blocks of two equal parts, and distinct parts alone
+orbit_rings = st.sampled_from(
+    [
+        _OrbitRing(Partition(parts))
+        for parts in ((1, 1, 1), (2, 2, 1), (1, 1, 2, 2), (1, 1, 1, 3), (1, 1, 1, 2, 2, 2), (3, 2))
+    ]
+)
+
+
+def orbit_elements(ring: _OrbitRing) -> st.SearchStrategy[dict]:
+    keys = [key for key, _ in ring.keys()]
+    return st.dictionaries(st.sampled_from(keys), st.integers(min_value=-9, max_value=9), max_size=6)
+
+
+@settings(max_examples=80)
+@given(orbit_rings.flatmap(lambda r: st.tuples(st.just(r), orbit_elements(r), orbit_elements(r))))
+def test_orbit_product_matches_dense_product(case):
+    ring, x, y = case
+    dense_x, dense_y = oracles.expand(ring, x), oracles.expand(ring, y)
+    assert oracles.expand(ring, ring.mul(x, y)) == dense_x * dense_y
+    assert ring.pair(x, y) == fundamental_pairing(dense_x * dense_y)
+    c1 = dense_x.space.first_chern_class()
+    assert oracles.expand(ring, ring.times_c1(x)) == dense_x * c1
+    assert oracles.expand(ring, ring.c1) == c1
 
 
 @settings(max_examples=40)

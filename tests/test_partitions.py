@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cybordism.numthy import primes_upto, valuation
+from cybordism.numthy import factorial_valuation, primes_upto, valuation
 from cybordism.partitions import (
     Partition,
     _capped_minima,
     _iter_decreasing,
+    _weighted_part_valuations,
     count_partitions,
     digit_partition,
     enumerate_partitions,
@@ -296,6 +297,16 @@ def test_capped_minima_match_exhaustive_scan(cost):
     for n in range(3, 19):
         walked = min(sum(cost[m] for m in parts) for parts in oracles.capped_partitions(n))
         assert minima[n] == walked, (n, cost)
+
+
+def test_capped_minima_match_all_sizes_knapsack():
+    # both production costs, gcd and power-check, at every prime up to 400
+    for p in primes_upto(400):
+        for cost in (
+            _weighted_part_valuations(p, 398),
+            [-factorial_valuation(p, m) for m in range(399)],
+        ):
+            assert _capped_minima(cost) == oracles.capped_minima_over_all_sizes(cost), p
 
 
 def test_oracle_enumeration_matches_capped_partitions():
