@@ -17,7 +17,10 @@ fractions, checks the Chern numbers with no ring arithmetic at all.  The
 recursive reverse-lexicographic partition generator the library replaced with an
 iterative one is here too, as are ``g(n)`` read off the prime-power shape
 of ``n`` and one prime's exponent in a weighted multinomial, because only
-the tests use them.  So is the line-by-line KS
+the tests use them.  So is the certificate route the library replaced:
+the capped partitions materialised and sorted into scan order, one
+exponent vector per partition, and the pair search over tightness masks
+built bit by bit from those vectors.  So is the line-by-line KS
 record parser, which checks each matrix row with its own regex and builds
 each record by keyword.
 """
@@ -38,6 +41,7 @@ from cybordism.cohomology import (
     fundamental_pairing,
     power_sum_direct,
 )
+from cybordism.generators import GeneratorCertificate, extended_gcd
 from cybordism.numthy import (
     Case,
     CaseTag,
@@ -45,6 +49,7 @@ from cybordism.numthy import (
     is_prime,
     prime_power,
     primes_upto,
+    su_generator_s_number,
     valuation,
 )
 from cybordism.partitions import (
@@ -56,6 +61,7 @@ from cybordism.partitions import (
     multinomial,
     split_prime_power,
     split_prime_power_successor,
+    weighted_multinomial,
 )
 from cybordism.toricdata import _HEADER_RE, _HEADERISH_RE, _TOO_LONG, KSParseError, KSRecord
 
@@ -163,6 +169,81 @@ def first_exact_pair(
             if all(t in (a, b) for a, b, t in zip(first, vectors[j], target_vec)):
                 return i, j
     return None
+
+
+def scan_order(n: int) -> list[tuple[int, ...]]:
+    """The capped partitions of ``n`` as decreasing tuples, sorted into scan order.
+
+    Fewest parts first, then lexicographic on the increasing part tuples.
+    """
+    return sorted(partitions_by_recursion(n, n - 2), key=lambda s: (len(s), s[::-1]))
+
+
+def first_exact_pair_by_first_indices(
+    vectors: list[tuple[int, ...]], target_vec: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """What :func:`first_exact_pair` returns, trying only each tightness mask's first index."""
+    nprimes = len(target_vec)
+    full = (1 << nprimes) - 1
+    masks = []
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for idx, vec in enumerate(vectors):
+        mask = 0
+        for bit in range(nprimes):
+            if vec[bit] == target_vec[bit]:
+                mask |= 1 << bit
+        masks.append(mask)
+        first.setdefault(mask, idx)
+        last[mask] = idx
+    for mask_i, i in first.items():
+        needed = full & ~mask_i
+        if any(mask & needed == needed and j > i for mask, j in last.items()):
+            return i, next(j for j in range(i + 1, len(masks)) if masks[j] & needed == needed)
+    return None
+
+
+def certificate_by_sorted_scan(n: int) -> GeneratorCertificate:
+    """What ``generators.certificate(n)`` returns, from the materialised, sorted scan order.
+
+    Each partition gets its vector of prime exponents; one equal to the
+    target's is a single entry, else the first pair meeting the target
+    at every prime gives two, else a running extended gcd along the
+    order takes each value that strictly reduces it.
+    """
+    target = su_generator_s_number(n)
+    order = scan_order(n)
+    primes = primes_upto(n)
+    target_vec = tuple(valuation(p, target) for p in primes)
+    base = tuple(factorial_valuation(p, n) for p in primes)
+    part_rows = list(zip(*(_weighted_part_valuations(p, n - 2) for p in primes)))
+    vectors = [
+        tuple(map(sum, zip(base, *map(part_rows.__getitem__, parts)))) for parts in order
+    ]
+    for parts, vec in zip(order, vectors):
+        if vec == target_vec:
+            return GeneratorCertificate(n=n, entries=((Partition(parts), -1),), achieved=target)
+    pair = first_exact_pair_by_first_indices(vectors, target_vec)
+    if pair is not None:
+        sigma, tau = Partition(order[pair[0]]), Partition(order[pair[1]])
+        d, x, y = extended_gcd(weighted_multinomial(sigma), weighted_multinomial(tau))
+        assert d == target
+        return GeneratorCertificate(n=n, entries=((sigma, -x), (tau, -y)), achieved=target)
+    coeffs: dict[int, int] = {0: 1}
+    running = weighted_multinomial(Partition(order[0]))
+    for idx in range(1, len(order)):
+        if running == target:
+            break
+        d, x, y = extended_gcd(running, weighted_multinomial(Partition(order[idx])))
+        if d == running:
+            continue
+        coeffs = {i: c * x for i, c in coeffs.items() if c * x != 0}
+        if y != 0:
+            coeffs[idx] = y
+        running = d
+    assert running == target
+    entries = tuple((Partition(order[idx]), -coeffs[idx]) for idx in sorted(coeffs))
+    return GeneratorCertificate(n=n, entries=entries, achieved=target)
 
 
 def power_check_report(n: int) -> DivisibilityReport:

@@ -10,7 +10,10 @@ import oracles
 from cybordism.generators import (
     CERTIFICATE_MAX_N,
     GCD_MAX_N,
+    _excess_bound,
     _first_exact_pair,
+    _in_scan_order,
+    _scan_runs,
     certificate,
     extended_gcd,
     low_dimension_table,
@@ -18,12 +21,21 @@ from cybordism.generators import (
     s_number_gcd,
     verify_gcd_identity,
 )
-from cybordism.numthy import su_generator_s_number
+from cybordism.numthy import factorial_valuation, primes_upto, su_generator_s_number, valuation
 from cybordism.partitions import (
     Partition,
+    _weighted_part_valuations,
     generator_partitions,
     weighted_multinomial,
 )
+
+
+def untight_masks(vectors, target_vec):
+    # bit b of a vector's mask is set when prime b is above the target's exponent
+    return [
+        sum(1 << bit for bit, (v, t) in enumerate(zip(vec, target_vec)) if v != t)
+        for vec in vectors
+    ]
 
 
 @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**12))
@@ -117,7 +129,9 @@ def test_first_exact_pair_is_the_least_covering_pair(case):
     # each prime of a vector is at the target's exponent or one above it
     target_vec, raised = case
     vectors = [tuple(t + r for t, r in zip(target_vec, bumps)) for bumps in raised]
-    assert _first_exact_pair(vectors, target_vec) == oracles.first_exact_pair(vectors, target_vec)
+    assert _first_exact_pair(untight_masks(vectors, target_vec)) == oracles.first_exact_pair(
+        vectors, target_vec
+    )
 
 
 def test_first_exact_pair_cases():
@@ -139,8 +153,42 @@ def test_first_exact_pair_cases():
         (target, target): (0, 1),
     }
     for vectors, expected in cases.items():
-        assert _first_exact_pair(list(vectors), target) == expected, vectors
+        assert _first_exact_pair(untight_masks(vectors, target)) == expected, vectors
         assert oracles.first_exact_pair(list(vectors), target) == expected, vectors
+
+
+def test_walk_is_the_sorted_scan_order():
+    for n in range(3, 31):
+        walk = [parts[::-1] for parts in _in_scan_order(n)]
+        assert walk == oracles.scan_order(n), n
+    # each run carries start plus its head's weights
+    weight = [3**m for m in range(13)]
+    for head, acc, lo, rest in _scan_runs(12, weight, 7):
+        assert acc == 7 + sum(weight[m] for m in head)
+        assert lo == (head[-1] if head else 2) and rest == 12 - sum(head)
+
+
+def test_excess_bound_covers_every_prime_excess():
+    # least and greatest excess v_p(value) - v_p(g(n)) over the capped
+    # partitions of n, from the knapsack over every part size
+    top = 50
+    greatest = {}
+    for p in primes_upto(top):
+        weights = _weighted_part_valuations(p, top - 2)
+        least = oracles.capped_minima_over_all_sizes(weights)
+        most = oracles.capped_minima_over_all_sizes([-w for w in weights])
+        for n in range(max(p, 3), top + 1):
+            base = factorial_valuation(p, n) - valuation(p, su_generator_s_number(n))
+            assert base + least[n] == 0, (n, p)
+            greatest[n] = max(greatest.get(n, 0), base - most[n])
+    assert all(greatest[n] < _excess_bound(n) for n in range(3, top + 1))
+    assert (greatest[31], greatest[50]) == (124, 231)
+    assert (_excess_bound(31), _excess_bound(50)) == (155, 300)
+
+
+def test_certificate_matches_sorted_scan():
+    for n in range(3, 41):
+        assert certificate(n) == oracles.certificate_by_sorted_scan(n), n
 
 
 def test_certificate_rejects_small_n():

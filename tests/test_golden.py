@@ -4,10 +4,13 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from cybordism.cli import run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_golden_outputs_are_reproduced(tmp_path, monkeypatch, capsys):
@@ -28,3 +31,11 @@ def test_golden_outputs_are_reproduced(tmp_path, monkeypatch, capsys):
         code = run(entry["argv"])
         expected = (GOLDEN / entry["output"]).read_text(encoding="utf-8")
         assert (code, capsys.readouterr().out) == (entry["exit"], expected), entry["argv"]
+
+
+@pytest.mark.parametrize("n", [30, 31])
+def test_certificate_jobs_are_byte_identical(n, capsys):
+    # the scan workload's certificate sizes, as the sorted-scan route printed them
+    expected = (DATA / f"certificate-{n}.out").read_text(encoding="utf-8")
+    assert run(["certificate", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == expected
