@@ -28,8 +28,6 @@ if TYPE_CHECKING:
     from . import toricdata
     from .partitions import Partition
 
-TABLE_COMMANDS = {"gn", "alpha", "gcd", "power-check", "chern"}
-STREAM_COMMANDS = {"ks-parse", "ks-filter"}
 # Largest accepted --max of the per-n loops: gn at 10^5 takes about 2 s and
 # 131 MB, power-check at 400 about 1.3 s and 50 MB (2-core VM).
 GN_MAX = 100_000
@@ -56,6 +54,7 @@ def _per_n(top: int, budget: int, name: str) -> range:
 
 
 def _cmd_gn(args: argparse.Namespace) -> tuple[dict, str]:
+    """table of milnor factors and generator s-numbers"""
     from . import numthy
 
     rows = [
@@ -71,6 +70,7 @@ def _cmd_gn(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> tuple[dict, str]:
+    """s-number magnitudes over the capped partitions of n, both routes"""
     from . import cohomology, partitions
 
     if args.n > ALPHA_MAX_N:
@@ -96,6 +96,7 @@ def _cmd_alpha(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:
+    """verify the gcd identity with prime-power case attribution"""
     from . import generators
 
     if args.max < 3:
@@ -112,6 +113,7 @@ def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> tuple[dict, str]:
+    """integer generator certificate with independent recheck"""
     from . import generators, numthy
 
     cert = generators.certificate(args.n)
@@ -132,6 +134,7 @@ def _cmd_certificate(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_s_number(args: argparse.Namespace) -> tuple[dict, str]:
+    """s-number of one hypersurface via the cohomology route"""
     from . import cohomology, partitions
 
     sigma = partitions.parse_partition(args.partition)
@@ -147,6 +150,7 @@ def _chern_index_label(omega: Partition) -> str:
 
 
 def _cmd_chern(args: argparse.Namespace) -> tuple[dict, str]:
+    """all Chern numbers of one hypersurface"""
     from . import cohomology, partitions
 
     sigma = partitions.parse_partition(args.partition)
@@ -166,17 +170,20 @@ def _cmd_chern(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_power_check(args: argparse.Namespace) -> tuple[dict, str]:
+    """multinomial divisibility pattern for 3 <= n <= max"""
     from . import partitions
 
+    reports = [partitions.power_check(n) for n in _per_n(args.max, POWER_CHECK_MAX, "power-check")]
     rows = [
-        {"n": n, **entry._asdict(), "witness": entry.witness.label}
-        for n in _per_n(args.max, POWER_CHECK_MAX, "power-check")
-        for entry in partitions.power_check(n).entries
+        {"n": report.n, **entry._asdict(), "witness": entry.witness.label}
+        for report in reports
+        for entry in report.entries
     ]
-    return {"rows": rows}, "pass" if all(row["ok"] for row in rows) else "fail"
+    return {"rows": rows}, "pass" if all(report.passed for report in reports) else "fail"
 
 
 def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
+    """product-of-simplices polytope data and reflexivity verdict"""
     from . import partitions, toricdata
 
     sigma = partitions.parse_partition(args.partition)
@@ -233,6 +240,7 @@ def _ks_status(n_good: int, n_bad: int) -> str:
 
 
 def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, str]:
+    """parse records, reporting positioned errors"""
     # each record becomes its payload row as it is parsed, so the records
     # and their matrix rows are never all held at once
     errors: list[dict] = []
@@ -247,6 +255,7 @@ def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, str]:
+    """keep records with the requested Hodge difference"""
     from . import toricdata
 
     # only the printed rows are kept; the other records are counted as they stream
@@ -273,6 +282,7 @@ def _side_dict(side: toricdata.RangeSide) -> dict:
 
 
 def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
+    """summarise achieved h11 values for both signs"""
     from . import toricdata
 
     errors: list[dict] = []
@@ -287,6 +297,18 @@ def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if ok else "fail"
 
 
+# Every option of every subcommand, declared once; each leaf names the ones it takes.
+_OPTIONS = {
+    "--max": {"type": int, "required": True, "help": "largest n (inclusive)"},
+    "--jobs": {"type": int, "default": 1, "help": "accepted and ignored (runs serially)"},
+    "--n": {"type": int, "required": True},
+    "--partition": {"required": True, "help": "comma-separated parts, e.g. 1,1,3"},
+    "--input": {"required": True, "help": "input file, or - for stdin"},
+    "--strict": {"action": "store_true", "help": "treat chi mismatches as errors"},
+    "--target": {"type": int, "required": True, "choices": [1, -1]},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cybordism",
@@ -299,59 +321,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument(
-            "--format",
-            choices=["json", "csv", "jsonl"],
-            default="json",
-            help="output format (csv for table subcommands, jsonl for ks)",
-        )
-        return p
+    def add(group, name: str, handler: Callable, formats: tuple[str, ...], *options: str) -> None:
+        # the handler's docstring is the leaf's help; --format offers only what it prints
+        leaf = group.add_parser(name, help=handler.__doc__)
+        leaf.set_defaults(handler=handler)
+        for option in options:
+            leaf.add_argument(option, **_OPTIONS[option])
+        leaf.add_argument("--format", choices=formats, default="json", help="output format")
 
-    p = add("gn", _cmd_gn, "table of milnor factors and generator s-numbers")
-    p.add_argument("--max", type=int, required=True, help="largest n (inclusive)")
-
-    p = add("alpha", _cmd_alpha, "s-number magnitudes over the capped partitions of n, both routes")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("gcd", _cmd_gcd, "verify the gcd identity with prime-power case attribution")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (runs serially)")
-
-    p = add(
-        "certificate", _cmd_certificate, "integer generator certificate with independent recheck"
-    )
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("s-number", _cmd_s_number, "s-number of one hypersurface via the cohomology route")
-    p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 1,1,3")
-
-    p = add("chern", _cmd_chern, "all Chern numbers of one hypersurface")
-    p.add_argument("--partition", required=True)
-
-    p = add("power-check", _cmd_power_check, "multinomial divisibility pattern for 3 <= n <= max")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored (runs serially)")
-
-    p = add("polytope", _cmd_polytope, "product-of-simplices polytope data and reflexivity verdict")
-    p.add_argument("--partition", required=True)
-
+    table, stream, json_only = ("json", "csv"), ("json", "jsonl"), ("json",)
+    add(sub, "gn", _cmd_gn, table, "--max")
+    add(sub, "alpha", _cmd_alpha, table, "--n")
+    add(sub, "gcd", _cmd_gcd, table, "--max", "--jobs")
+    add(sub, "certificate", _cmd_certificate, json_only, "--n")
+    add(sub, "s-number", _cmd_s_number, json_only, "--partition")
+    add(sub, "chern", _cmd_chern, table, "--partition")
+    add(sub, "power-check", _cmd_power_check, table, "--max", "--jobs")
+    add(sub, "polytope", _cmd_polytope, json_only, "--partition")
     ks = sub.add_parser("ks", help="Hodge-number record pipeline")
     ks_sub = ks.add_subparsers(dest="ks_command", required=True)
-    for name, handler, help_text in (
-        ("parse", _cmd_ks_parse, "parse records, reporting positioned errors"),
-        ("filter", _cmd_ks_filter, "keep records with the requested Hodge difference"),
-        ("ranges", _cmd_ks_ranges, "summarise achieved h11 values for both signs"),
-    ):
-        p = ks_sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("--input", required=True, help="input file, or - for stdin")
-        p.add_argument("--strict", action="store_true", help="treat chi mismatches as errors")
-        p.add_argument("--format", choices=["json", "csv", "jsonl"], default="json")
-        if name == "filter":
-            p.add_argument("--target", type=int, required=True, choices=[1, -1])
+    add(ks_sub, "parse", _cmd_ks_parse, stream, "--input", "--strict")
+    add(ks_sub, "filter", _cmd_ks_filter, stream, "--input", "--strict", "--target")
+    add(ks_sub, "ranges", _cmd_ks_ranges, json_only, "--input", "--strict")
     return parser
 
 
@@ -421,26 +412,19 @@ def _parameters(args: argparse.Namespace) -> dict:
 
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; prints the report and returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.command
     if command == "ks":
         command = f"ks-{args.ks_command}"
-    if args.format == "csv" and command not in TABLE_COMMANDS:
-        parser.error(f"--format csv is only available for {sorted(TABLE_COMMANDS)}")
-    if args.format == "jsonl" and command not in STREAM_COMMANDS:
-        parser.error("--format jsonl is only available for ks parse and ks filter")
-
-    output_format = args.format
     try:
         results, status = args.handler(args)
     except (ValueError, OSError) as exc:
         # a refused or failed command reports in the envelope, whatever the format
-        results, status, output_format = {"error": str(exc)}, "fail", "json"
+        results, status, args.format = {"error": str(exc)}, "fail", "json"
 
-    if output_format == "csv":
+    if args.format == "csv":
         sys.stdout.write(_render_csv(results["rows"]))
-    elif output_format == "jsonl":
+    elif args.format == "jsonl":
         errors = [{"error": True, **err} for err in results.get("errors", ())]
         stream = results["records"] + errors
         encode = json.JSONEncoder(sort_keys=True).encode

@@ -69,8 +69,12 @@ class Partition(tuple):
 
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated part list such as ``"1,1,3"``."""
+    words = [word for word in map(str.strip, text.split(",")) if word]
     try:
-        parts = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        # only the words parse_ks takes in a matrix row: int() also reads "1_0" and "+3"
+        if not all(word.removeprefix("-").isdecimal() for word in words):
+            raise ValueError
+        parts = [int(word) for word in words]
     except ValueError:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from None
     return Partition(parts)

@@ -266,17 +266,6 @@ class KSRecord(
         """Whether ``chi`` (when present) equals ``2 * (h11 - h21)``."""
         return self.chi is None or self.chi == 2 * (self.h11 - self.h21)
 
-    def header_text(self) -> str:
-        bits = [f"{self.ambient_dim} {self.vertex_count}"]
-        if self.m_points is not None:
-            bits.append(f"M:{self.m_points[0]} {self.m_points[1]}")
-        if self.n_points is not None:
-            bits.append(f"N:{self.n_points[0]} {self.n_points[1]}")
-        bits.append(f"H:{self.h11},{self.h21}")
-        if self.chi is not None:
-            bits.append(f"[{self.chi}]")
-        return " ".join(bits)
-
     def as_dict(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,
@@ -292,11 +281,6 @@ class KSParseError(namedtuple("KSParseError", "line message")):
     """Positioned description of an unusable input line or record."""
 
     __slots__ = ()
-
-
-def format_ks(record: KSRecord) -> str:
-    """Serialise a record back to header-plus-matrix text."""
-    return "\n".join((record.header_text(), *record.matrix))
 
 
 def parse_ks(

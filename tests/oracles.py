@@ -22,7 +22,8 @@ the capped partitions materialised and sorted into scan order, one
 exponent vector per partition, and the pair search over tightness masks
 built bit by bit from those vectors.  So is the line-by-line KS
 record parser, which checks each matrix row with its own regex and builds
-each record by keyword.
+each record by keyword, and the KS record writer and a certificate's
+partition-to-coefficient map, which only the tests call.
 """
 
 from __future__ import annotations
@@ -538,3 +539,21 @@ def parse_ks_by_lines(
             yield KSParseError(line=lineno, message=message)
             continue
         yield record
+
+
+def format_ks(record: KSRecord) -> str:
+    """A record as the header-plus-matrix text that ``parse_ks`` reads back."""
+    bits = [f"{record.ambient_dim} {record.vertex_count}"]
+    if record.m_points is not None:
+        bits.append(f"M:{record.m_points[0]} {record.m_points[1]}")
+    if record.n_points is not None:
+        bits.append(f"N:{record.n_points[0]} {record.n_points[1]}")
+    bits.append(f"H:{record.h11},{record.h21}")
+    if record.chi is not None:
+        bits.append(f"[{record.chi}]")
+    return "\n".join((" ".join(bits), *record.matrix))
+
+
+def as_mapping(cert: GeneratorCertificate) -> dict[Partition, int]:
+    """A certificate's entries as a partition-to-coefficient map."""
+    return dict(cert.entries)

@@ -1,6 +1,7 @@
 """Command-line surface: envelopes, formats, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import io
@@ -394,6 +395,11 @@ def test_domain_error_returns_fail_envelope(capsys):
     assert code == 1
     assert doc["status"] == "fail"
     assert "error" in doc["results"]
+    # int() would read these as 10 and 3; a partition takes only decimal words
+    for text in ("1_0", "+3"):
+        code, doc = envelope(capsys, ["s-number", "--partition", text])
+        assert (code, doc["status"]) == (1, "fail")
+        assert "not a comma-separated integer list" in doc["results"]["error"]
 
 
 def test_over_budget_partition_fails_fast(capsys):
@@ -467,9 +473,38 @@ def test_every_command_has_a_handler_and_a_golden():
     assert len(leaves) == 11
     for name, parser in leaves.items():
         assert callable(parser.get_default("handler")), name
-    assert cli.TABLE_COMMANDS | cli.STREAM_COMMANDS <= set(leaves)
     index = json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
     assert {_command(e["argv"]) for e in index} == set(leaves)
+
+
+def _formats(parser):
+    return next(action.choices for action in parser._actions if action.dest == "format")
+
+
+def test_each_leaf_offers_exactly_the_formats_it_prints(capsys):
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    offered = {name: _formats(parser) for name, parser in leaves.items()}
+    tables = {"gn", "alpha", "gcd", "power-check", "chern"}
+    assert {name for name, formats in offered.items() if "csv" in formats} == tables
+    assert {name for name, formats in offered.items() if "jsonl" in formats} == {"ks-parse", "ks-filter"}
+    assert sum(len(formats) for formats in offered.values()) == 18
+    for argv in SMOKE:
+        formats = offered[_command(argv)]
+        for fmt in ("json", "csv", "jsonl"):
+            if fmt not in formats:
+                with pytest.raises(SystemExit) as exc:
+                    run(argv + ["--format", fmt])
+                assert exc.value.code == 2, (argv, fmt)
+                assert capsys.readouterr().out == ""
+                continue
+            code, out = invoke(capsys, argv + ["--format", fmt])
+            assert code == 0, (argv, fmt)
+            if fmt == "json":
+                assert json.loads(out)["status"] == "pass"
+            elif fmt == "csv":
+                assert list(csv.DictReader(io.StringIO(out)))
+            else:
+                assert [json.loads(line) for line in out.splitlines()]
 
 
 @pytest.mark.parametrize(
@@ -490,6 +525,85 @@ def test_parameters_never_hold_the_handler(capsys, argv):
     # they are the command's own options, defaults included, but its --format
     parser = dict(_leaf_parsers(cli.build_parser()))[_command(argv)]
     assert set(doc["parameters"]) == {a.dest for a in parser._actions} - {"help", "format"}
+
+
+JUNK = ["", "x", "1_0", "+3", "\u0663", "3.0"]
+
+
+def _int_words(low, high, over):
+    """Ints in budget, over it, 30 or 5000 digits long or negative, and junk, as argv words."""
+    return st.one_of(
+        st.integers(low, high).map(str),
+        st.sampled_from([*over, "1" * 30, "9" * 5000]),
+        st.integers(-(10**6), -1).map(str),
+        st.sampled_from(JUNK),
+    )
+
+
+# each option's words; an in-budget draw stays small, so an example takes milliseconds
+OPTION_WORDS = {
+    "--max": _int_words(0, 12, ["401", "801", "100001"]),
+    "--n": _int_words(0, 8, ["17", "51", "101"]),
+    "--jobs": _int_words(1, 4, ["5000"]),
+    "--partition": st.one_of(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda ps: ",".join(map(str, ps))),
+        _int_words(1, 3, ["99999999999999999999", "400,400"]),
+        st.sampled_from(["-1,2", "0,2", " 1 , 2 "]),
+    ),
+    "--input": st.sampled_from(
+        [SAMPLE, MALFORMED, str(DATA / "ks_long_number.txt"), "no-such-file.txt", str(DATA), os.devnull]
+    ),
+    "--target": st.one_of(st.sampled_from(["1", "-1"]), _int_words(0, 2, ["5000"])),
+}
+LEAVES = dict(_leaf_parsers(cli.build_parser()))
+LEAF_WORDS = {_command(argv): argv[: 2 if argv[0] == "ks" else 1] for argv in SMOKE}
+
+
+@st.composite
+def cli_argv(draw):
+    """A leaf's words, each of its options mostly present, and maybe a --format and a stray word."""
+    name = draw(st.sampled_from(sorted(LEAVES)))
+    argv = list(LEAF_WORDS[name])
+    for action in LEAVES[name]._actions:
+        option = action.option_strings[-1] if action.option_strings else None
+        if option in ("--help", "--format", None) or draw(st.integers(0, 5)) == 5:
+            continue
+        argv.append(option)
+        if action.nargs != 0:
+            argv.append(draw(OPTION_WORDS[option]))
+    fmt = draw(st.sampled_from([None, None, None, "json", "csv", "jsonl", "xml"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["stray", "--bogus", "--n"])))
+    return argv, fmt
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_any_argv_ends_in_exit_2_or_an_envelope(drawn):
+    argv, fmt = drawn
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if code == 2:
+        assert text == "", argv
+        return
+    assert code in (0, 1), argv
+    if fmt in ("csv", "jsonl") and not text.startswith("{\n"):
+        # an accepted csv or jsonl run prints its rows, not an envelope
+        if fmt == "csv":
+            assert list(csv.DictReader(io.StringIO(text))), argv
+        else:
+            assert all(isinstance(json.loads(line), dict) for line in text.splitlines()), argv
+        return
+    doc = json.loads(text)
+    assert set(doc) == {"command", "parameters", "results", "status"}, argv
+    assert code == (0 if doc["status"] == "pass" else 1), argv
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

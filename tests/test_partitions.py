@@ -71,8 +71,16 @@ def test_partition_rejects_bad_parts():
 
 def test_parse_partition():
     assert parse_partition("1,1,3") == Partition([3, 1, 1])
-    with pytest.raises(ValueError):
-        parse_partition("1,x")
+    # the words parse_ks reads in a matrix row: blanks around them and any decimal digits
+    assert parse_partition(" 1 , 2 ") == Partition([1, 2])
+    assert parse_partition("\u0663") == Partition([3])
+    for text in ("1,x", "1_0", "+3", "3.0", "1,-", "9" * 5000):
+        with pytest.raises(ValueError, match="not a comma-separated integer list"):
+            parse_partition(text)
+    # negative and zero parts are read, then refused as parts
+    for text in ("-1,2", "0,2"):
+        with pytest.raises(ValueError, match="positive"):
+            parse_partition(text)
 
 
 @given(parts_lists)

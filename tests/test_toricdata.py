@@ -17,7 +17,6 @@ from cybordism.toricdata import (
     KSRecord,
     ReflexivePolytope,
     filter_hodge_difference,
-    format_ks,
     h11_range_report,
     parse_ks,
     partition_polytope,
@@ -27,7 +26,7 @@ from cybordism.toricdata import (
     verify_reflexive,
 )
 
-from oracles import parse_ks_by_lines
+from oracles import format_ks, parse_ks_by_lines
 
 DATA = Path(__file__).parent / "data"
 
