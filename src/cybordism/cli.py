@@ -99,8 +99,7 @@ def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:
     """verify the gcd identity with prime-power case attribution"""
     from . import generators
 
-    if args.max < 3:
-        raise ValueError(f"need --max >= 3, got {args.max}")
+    _per_n(args.max, generators.GCD_MAX_N, "gcd")
     report = generators.verify_gcd_identity(args.max)
     results = {
         "rows": [
@@ -297,15 +296,22 @@ def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if ok else "fail"
 
 
+def integer(word: str) -> int:
+    """An integer option read as a partition part: not "1_0" or "+4", which int() takes."""
+    if not word.strip().removeprefix("-").isdecimal():
+        raise ValueError(word)
+    return int(word)
+
+
 # Every option of every subcommand, declared once; each leaf names the ones it takes.
 _OPTIONS = {
-    "--max": {"type": int, "required": True, "help": "largest n (inclusive)"},
-    "--jobs": {"type": int, "default": 1, "help": "accepted and ignored (runs serially)"},
-    "--n": {"type": int, "required": True},
+    "--max": {"type": integer, "required": True, "help": "largest n (inclusive)"},
+    "--jobs": {"type": integer, "default": 1, "help": "accepted and ignored (runs serially)"},
+    "--n": {"type": integer, "required": True},
     "--partition": {"required": True, "help": "comma-separated parts, e.g. 1,1,3"},
     "--input": {"required": True, "help": "input file, or - for stdin"},
     "--strict": {"action": "store_true", "help": "treat chi mismatches as errors"},
-    "--target": {"type": int, "required": True, "choices": [1, -1]},
+    "--target": {"type": integer, "required": True, "choices": [1, -1]},
 }
 
 
@@ -372,9 +378,9 @@ def dumps(obj: object, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     ``json`` uses its C encoder only without ``indent``.  Here every
-    container of scalars, and every list of non-empty such dicts, is
-    C-encoded at once with the line break of its depth between items; only
-    the containers around them are walked in Python.
+    container of scalars, and every list of non-empty such dicts or such
+    lists, is C-encoded at once with the line break of its depth between
+    items; only the containers around them are walked in Python.
     """
     if not obj or not isinstance(obj, (dict, list, tuple)):
         return _encoder(0)(obj)  # a scalar, "{}" or "[]"
@@ -392,15 +398,18 @@ def dumps(obj: object, depth: int = 0) -> str:
             ]
         )
         return "".join(("{", inner, body, outer, "}"))
-    if {dict}.issuperset(map(type, obj)) and all(obj) and _SCALARS.issuperset(
-        map(type, chain.from_iterable(map(dict.values, obj)))
+    kinds = {*map(type, obj)}
+    dicts = kinds == {dict}
+    if (dicts or kinds <= {list, tuple}) and all(obj) and _SCALARS.issuperset(
+        map(type, chain.from_iterable(map(dict.values, obj) if dicts else obj))
     ):
-        # the list's items and the dicts' share one separator; no encoded
-        # scalar holds a line break, so "},<line>{" is always between dicts
+        # the list's items and theirs share one separator; no encoded scalar
+        # holds a line break, so "},<line>{" or "],<line>[" is always between items
+        first, last = "{}" if dicts else "[]"
         deeper = inner + "  "
         body = _encoder(depth + 2)(obj)[2:-2]
-        body = body.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return "".join(("[", inner, "{", deeper, body, inner, "}", outer, "]"))
+        body = body.replace(last + "," + deeper + first, inner + last + "," + inner + first + deeper)
+        return "".join(("[", inner, first, deeper, body, inner, last, outer, "]"))
     body = ("," + inner).join([dumps(value, depth + 1) for value in obj])
     return "".join(("[", inner, body, outer, "]"))
 

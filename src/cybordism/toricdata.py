@@ -17,9 +17,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import reduce
-from itertools import chain
-from operator import mul
+from functools import partial, reduce
+from itertools import chain, islice, repeat
+from operator import add, eq, mul
 
 # The ks commands use none of ``partitions``, so only partition_polytope
 # imports it; here it is imported for type checkers alone.
@@ -32,9 +32,9 @@ if TYPE_CHECKING:
 H11_RANGE_PLUS = (16, 90)
 H11_RANGE_MINUS = (15, 89)
 # Largest accepted ``prod(d_i + 1) * sum(d_i + 1) * n`` for a product
-# polytope: vertices times facets times dimension, the work of
-# :func:`verify_reflexive`.  (400,) and (1,)*16, about 4 s each on a
-# 2-core VM, are admitted; (1,)*17 and a 20-digit part are refused.
+# polytope: vertices times facets times dimension.  (400,) and (1,)*16 are
+# admitted, and take 0.2 s and 0.8 s as commands on a 2-core VM;
+# (1,)*17 and a 20-digit part are refused.
 POLYTOPE_COST_BUDGET = 2**26
 
 
@@ -67,19 +67,10 @@ def standard_simplex(d: int) -> ReflexivePolytope:
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    base = tuple([-1] * d)
-    vertices = [base]
-    for j in range(d):
-        v = [-1] * d
-        v[j] = d
-        vertices.append(tuple(v))
-    facets = []
-    for j in range(d):
-        a = [0] * d
-        a[j] = 1
-        facets.append(tuple(a))
-    facets.append(base)
-    return ReflexivePolytope(dim=d, vertices=tuple(vertices), facets=tuple(facets))
+    base = (-1,) * d
+    vertices = (base, *(base[:j] + (d,) + base[j + 1 :] for j in range(d)))
+    facets = (*((0,) * j + (1,) + (0,) * (d - 1 - j) for j in range(d)), base)
+    return ReflexivePolytope(dim=d, vertices=vertices, facets=facets)
 
 
 def product(p: ReflexivePolytope, q: ReflexivePolytope) -> ReflexivePolytope:
@@ -129,64 +120,44 @@ def verify_reflexive(p: ReflexivePolytope) -> ReflexivityReport:
     is automatically a lattice polytope), and that every vertex lies on
     at least ``dim`` facets.  The origin is strictly interior whenever
     the inequalities hold, since ``<a, 0> = 0 > -1``.  Inconsistent data
-    produces diagnostics, never an exception.
+    produces diagnostics, never an exception.  Each facet is evaluated on
+    all vertices at once, one coordinate column per nonzero entry of ``a``.
     """
-    diagnostics: list[str] = []
-    d = p.dim
-    if d < 1:
-        diagnostics.append(f"dimension must be positive, got {d}")
-    for kind, rows in (("vertex", p.vertices), ("facet normal", p.facets)):
+    d, vertices = p.dim, p.vertices
+    diagnostics = [] if d >= 1 else [f"dimension must be positive, got {d}"]
+    for kind, rows in (("vertex", vertices), ("facet normal", p.facets)):
+        if {*map(len, rows)} <= {d} and all(map(isinstance, chain.from_iterable(rows), repeat(int))):
+            continue  # all well-shaped, checked at once
         for row in rows:
             if len(row) != d:
                 diagnostics.append(f"{kind} {row} does not have {d} coordinates")
-            elif not all(isinstance(x, int) for x in row):
+            elif not all(map(isinstance, row, repeat(int))):
                 diagnostics.append(f"{kind} {row} has non-integer coordinates")
-    if diagnostics:
-        return ReflexivityReport(
-            ok=False,
-            diagnostics=tuple(diagnostics),
-            vertex_count=p.vertex_count,
-            facet_count=p.facet_count,
-        )
-    if len(p.vertices) < d + 1:
-        diagnostics.append(f"only {len(p.vertices)} vertices; a {d}-polytope needs {d + 1}")
-    if len(p.facets) < d + 1:
-        diagnostics.append(f"only {len(p.facets)} facets; a {d}-polytope needs {d + 1}")
-    saturations = [0] * len(p.vertices)
-    for a in p.facets:
-        if all(x == 0 for x in a):
-            diagnostics.append("zero facet normal")
-            continue
-        values = [sum(map(mul, a, v)) for v in p.vertices]
-        low = min(values)
-        if low < -1:
-            diagnostics.append(
-                f"facet {a} cuts off a vertex: <a, v> = {low} < -1"
-            )
-            continue
-        if low > -1:
-            diagnostics.append(
-                f"facet {a} is not at lattice distance 1: min <a, v> = {low}"
-            )
-            continue
-        tight = [i for i, val in enumerate(values) if val == -1]
-        if len(tight) < d:
-            diagnostics.append(
-                f"facet {a} touches only {len(tight)} vertices, need {d}"
-            )
-        for i in tight:
-            saturations[i] += 1
-    for i, count in enumerate(saturations):
-        if count < d:
-            diagnostics.append(
-                f"vertex {p.vertices[i]} lies on only {count} facets, need {d}"
-            )
-    return ReflexivityReport(
-        ok=not diagnostics,
-        diagnostics=tuple(diagnostics),
-        vertex_count=p.vertex_count,
-        facet_count=p.facet_count,
-    )
+    if not diagnostics:
+        for kind, count in (("vertices", len(vertices)), ("facets", len(p.facets))):
+            if count < d + 1:
+                diagnostics.append(f"only {count} {kind}; a {d}-polytope needs {d + 1}")
+        columns = [*zip(*vertices)] or [()] * d
+        saturations = [0] * len(vertices)
+        for a in p.facets:
+            terms = [map(mul, column, repeat(x)) for column, x in zip(columns, a) if x]
+            if not terms:
+                diagnostics.append("zero facet normal")
+                continue
+            values = [*reduce(partial(map, add), terms)]  # <a, v> for every vertex v
+            low = min(values, default=-1)  # with no vertices, no vertex is tight
+            if low < -1:
+                diagnostics.append(f"facet {a} cuts off a vertex: <a, v> = {low} < -1")
+            elif low > -1:
+                diagnostics.append(f"facet {a} is not at lattice distance 1: min <a, v> = {low}")
+            else:
+                if (tight := values.count(-1)) < d:
+                    diagnostics.append(f"facet {a} touches only {tight} vertices, need {d}")
+                saturations = [*map(add, saturations, map(eq, values, repeat(-1)))]
+        for vertex, count in zip(vertices, saturations):
+            if count < d:
+                diagnostics.append(f"vertex {vertex} lies on only {count} facets, need {d}")
+    return ReflexivityReport(not diagnostics, tuple(diagnostics), p.vertex_count, p.facet_count)
 
 
 # --- Hodge-number list records ------------------------------------------
@@ -204,31 +175,53 @@ _HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 
 _TOO_LONG = "header number has too many digits"
 
-# A record's matrix rows are checked together, _ROW_CHUNK at a time, so at
-# most that many lines are read past a bad row before it is reported.
-_ROW_CHUNK = 64
-# ASCII digits -> "0" and the other ASCII whitespace (str.isspace) -> " "
-_ROW_BYTES = bytes.maketrans(b"123456789\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", b"0" * 9 + b" " * 9)
+# Lines are read _BLOCK at a time, so a bad matrix row is reported at most
+# that many lines after it is read.
+_BLOCK = 1024
+# ASCII digits -> "0", whitespace (str.isspace) -> " ", "-" and ";" kept, the rest -> "!"
+_ROW_BYTES = bytes(
+    48 if chr(b).isdecimal() else 32 if chr(b).isspace() else b if chr(b) in "-;" else 33
+    for b in range(256)
+)
 
 
 def _integers(text: str) -> bool:
     r"""Whether every whitespace-separated word of ``text`` is an integer ``-?\d+``.
 
-    On text with at least one word this is the regex
-    ``^\s*-?\d+(\s+-?\d+)*\s*$``: ``re``'s ``\s`` and ``\d`` on ``str``
-    patterns are ``str.isspace`` and ``str.isdecimal``, which ``str.split``
-    and the checks here use too.  ASCII text mapped through ``_ROW_BYTES``
-    is all integers exactly when nothing but spaces and zeros is left once
-    each " -0" has become " 0"; any other byte is left in place.
+    On text with a word this is the regex ``^\s*-?\d+(\s+-?\d+)*\s*$``:
+    ``re``'s ``\s`` and ``\d`` on ``str`` patterns are ``str.isspace`` and
+    ``str.isdecimal``, which ``str.split`` and the checks here use too.
+    ASCII text mapped through ``_ROW_BYTES`` is all integers exactly when
+    nothing but spaces and zeros is left once each " -0" is " 0".
     """
     if text.isascii():
         return not f" {text}".encode().translate(_ROW_BYTES).replace(b" -0", b" 0").strip(b" 0")
     return all(word.removeprefix("-").isdecimal() for word in text.split())
 
 
-def _is_row(text: str, count: int) -> bool:
-    """Whether ``text`` is a matrix row of ``count`` integers (at least one)."""
-    return 0 < count == len(text.split()) and _integers(text)
+def _words(rows: list[str]) -> list[int] | None:
+    """Each row's number of words, or ``None`` when a word is not an integer.
+
+    ASCII rows are checked at once, each ended by " ; " and mapped through
+    ``_ROW_BYTES``: no "!" may be left, every "-" must begin a " -0", and then
+    each row has one "0 " per word (a ";" in a row makes too many rows).
+    """
+    text = " ; ".join([*rows, ""])
+    if not text.isascii():
+        return [*map(len, map(str.split, rows))] if _integers(" ".join(rows)) else None
+    mapped = f" {text}".encode().translate(_ROW_BYTES)
+    if b"!" in mapped or mapped.count(b"-") != mapped.count(b" -0"):
+        return None
+    counts = [*map(bytes.count, mapped.split(b";")[:-1], repeat(b"0 "))]
+    return counts if len(counts) == len(rows) else None
+
+
+def _good_rows(rows: list[str], count: int) -> int:
+    """How many of ``rows`` come before the first that is not ``count`` integers."""
+    if count > 0 and _words(rows) == [count] * len(rows):
+        return len(rows)
+    bad = (k for k, row in enumerate(rows) if len(row.split()) != count or not _integers(row))
+    return next(bad, 0) if count > 0 else 0
 
 
 class KSRecord(
@@ -283,6 +276,11 @@ class KSParseError(namedtuple("KSParseError", "line message")):
     __slots__ = ()
 
 
+def _read(lines: Iterator[str]) -> list[str]:
+    """The next ``_BLOCK`` lines, each without its trailing line breaks."""
+    return [*map(str.rstrip, islice(lines, _BLOCK), repeat("\n"))]
+
+
 def parse_ks(
     lines: Iterable[str], strict: bool = False
 ) -> Iterator[KSRecord | KSParseError]:
@@ -295,93 +293,95 @@ def parse_ks(
     contradicts ``2*(h11 - h21)`` is an error under ``strict``; otherwise
     it is yielded with its ``consistent`` flag set to ``False``.
     """
-    numbered = enumerate(lines, start=1)
-    # lines read past a bad matrix row are parsed again: ``source`` yields
-    # them from ``replay`` before going on with ``numbered``
-    replay = iter(())
-    source = numbered
+    lines = iter(lines)
+    buf: list[str] = []
+    base = i = 0  # buf[i] is line base + i + 1, the next to parse
+    size = 1  # the most records the next run may take
     while True:
-        item = next(source, None)
-        if item is None:
-            return
-        lineno, text = item
-        text = text.rstrip("\n")
+        if i == len(buf):
+            base, i, buf = base + i, 0, _read(lines)
+            if not buf:
+                return
+        # a run of records whose matrices end inside buf, with the rows of
+        # all of them checked at once
+        run: list[KSRecord | KSParseError] = []
+        rows: list[str] = []
+        words: list[int] = []
+        start, end, header = i, len(buf), _HEADER_RE.match
+        while i < end and (match := header(buf[i])):
+            dim, count, m1, m2, n1, n2, h11, h21, chi = match.groups()
+            try:
+                dim, count = int(dim), int(count)
+            except ValueError:
+                break
+            if i + dim >= end or (dim and count < 1):
+                break
+            matrix = buf[i + 1 : i + 1 + dim]
+            rows += matrix
+            words += [count] * dim
+            line, i = base + i + 1, i + 1 + dim
+            try:  # int() and str() refuse a number past the digit limit (4300 by default)
+                h11, h21 = int(h11), int(h21)
+                chi = None if chi is None else int(chi)
+                m_points = None if m1 is None else (int(m1), int(m2))
+                n_points = None if n1 is None else (int(n1), int(n2))
+                if h11 < 1:
+                    run.append(KSParseError(line, f"h11 must be >= 1, got {h11}"))
+                elif strict and chi is not None and chi != 2 * (h11 - h21):
+                    message = f"chi = {chi} contradicts 2*(h11 - h21) = {2 * (h11 - h21)}"
+                    run.append(KSParseError(line, message))
+                else:
+                    fields = (dim, count, h11, h21, chi, m_points, n_points, tuple(matrix), line)
+                    run.append(tuple.__new__(KSRecord, fields))  # no keyword matching
+            except ValueError:
+                run.append(KSParseError(line, _TOO_LONG))
+            if len(run) == size:
+                break
+        if rows and _words(rows) != words:
+            # a row is bad: read the run's first record on its own below, then
+            # runs from one record on, so the records parsed twice are never
+            # more than one plus those yielded since the last bad row
+            run, i, size, match = [], start, 1, header(buf[start])
+        yield from run
+        if len(run) == size:
+            size *= 2
+            continue
+        if i == len(buf):
+            continue
+        # one line, or a record whose rows are not all good or not all in buf,
+        # read as the line-by-line parser reads it; ``match`` is buf[i]'s
+        lineno, text = base + i + 1, buf[i]
+        i += 1
         if not text or text.isspace():
             continue
-        match = _HEADER_RE.match(text)
         if match is None:
-            if "H:" in text:
-                message = f"malformed header: {text.strip()!r}"
-            elif _integers(text):
-                message = "stray matrix row (no preceding valid header)"
-            elif _HEADERISH_RE.match(text):
-                message = "missing H:<h11>,<h21> field"
-            else:
-                message = f"unrecognized line: {text.strip()!r}"
-            yield KSParseError(line=lineno, message=message)
+            yield KSParseError(
+                lineno,
+                f"malformed header: {text.strip()!r}" if "H:" in text
+                else "stray matrix row (no preceding valid header)" if _integers(text)
+                else "missing H:<h11>,<h21> field" if _HEADERISH_RE.match(text)
+                else f"unrecognized line: {text.strip()!r}",
+            )
             continue
-        dim, count, m1, m2, n1, n2, h11, h21, chi = match.groups()
-        # int() and str() refuse a number past the interpreter's digit
-        # limit (4300 by default): such a header is an error, not the end
-        # of the parse
         try:
-            dim, count = int(dim), int(count)
+            dim, count = int(match["dim"]), int(match["count"])
         except ValueError:
             yield KSParseError(line=lineno, message=_TOO_LONG)
             continue
-        # read the rows a chunk at a time, each chunk up to its first row
-        # without ``count`` words, then find the first bad row (``good``)
-        matrix: list[str] = []
-        good = 0
-        ended = False
-        while good == len(matrix) < dim and not ended:
-            stop = min(dim, good + _ROW_CHUNK)
-            for _, row in source:
-                row = row.rstrip("\n")
-                matrix.append(row)
-                if len(row.split()) != count or len(matrix) == stop:
-                    break
-            else:
-                ended = True
-            chunk = matrix[good:]
-            # the loop stops at a row without ``count`` words, so when the
-            # last row has them, every row of the chunk has
-            if chunk and 0 < count == len(chunk[-1].split()) and _integers(" ".join(chunk)):
-                good = len(matrix)
-            else:
-                bad = (i for i, row in enumerate(chunk) if not _is_row(row, count))
-                good += next(bad, len(chunk))
-        if good < len(matrix):
-            replay = iter([*enumerate(matrix[good:], lineno + 1 + good), *replay])
-            source = chain(replay, numbered)
-            message = f"expected a row of {count} integers at line {lineno + 1 + good}"
-            yield KSParseError(line=lineno, message=message)
+        # the rows up to the first bad one, read a block at a time while they
+        # are good; buf keeps the lines from the header on
+        good = _good_rows(buf[i : i + dim], count)
+        while good == len(buf) - i < dim and (more := _read(lines)):
+            del buf[: i - 1]
+            base, i = base + i - 1, 1
+            buf += more
+            good += _good_rows(buf[1 + good : 1 + dim], count)
+        if good == dim:
+            i -= 1  # all good: the record is parsed as a run of its own
             continue
-        if good < dim:
-            yield KSParseError(line=lineno, message="input ended inside the vertex matrix")
-            continue
-        try:
-            chi = None if chi is None else int(chi)
-            m_points = None if m1 is None else (int(m1), int(m2))
-            n_points = None if n1 is None else (int(n1), int(n2))
-            h11, h21 = int(h11), int(h21)
-            fields = (dim, count, h11, h21, chi, m_points, n_points, tuple(matrix), lineno)
-        except ValueError:
-            yield KSParseError(line=lineno, message=_TOO_LONG)
-            continue
-        record = tuple.__new__(KSRecord, fields)  # the fields in order, no keyword matching
-        if record.h11 < 1:
-            yield KSParseError(line=lineno, message=f"h11 must be >= 1, got {record.h11}")
-            continue
-        if strict and not record.consistent:
-            try:  # 2*(h11 - h21) can pass the digit limit that h11 kept to
-                doubled = str(2 * record.hodge_difference)
-                message = f"chi = {record.chi} contradicts 2*(h11 - h21) = {doubled}"
-            except ValueError:
-                message = _TOO_LONG
-            yield KSParseError(line=lineno, message=message)
-            continue
-        yield record
+        message = f"expected a row of {count} integers at line {lineno + 1 + good}"
+        i += good
+        yield KSParseError(lineno, "input ended inside the vertex matrix" if i == len(buf) else message)
 
 
 def filter_hodge_difference(

@@ -22,7 +22,8 @@ the capped partitions materialised and sorted into scan order, one
 exponent vector per partition, and the pair search over tightness masks
 built bit by bit from those vectors.  So is the line-by-line KS
 record parser, which checks each matrix row with its own regex and builds
-each record by keyword, and the KS record writer and a certificate's
+each record by keyword, and the reflexivity check that evaluates each facet
+on one vertex at a time, and the KS record writer and a certificate's
 partition-to-coefficient map, which only the tests call.
 """
 
@@ -64,7 +65,15 @@ from cybordism.partitions import (
     split_prime_power_successor,
     weighted_multinomial,
 )
-from cybordism.toricdata import _HEADER_RE, _HEADERISH_RE, _TOO_LONG, KSParseError, KSRecord
+from cybordism.toricdata import (
+    _HEADER_RE,
+    _HEADERISH_RE,
+    _TOO_LONG,
+    KSParseError,
+    KSRecord,
+    ReflexivePolytope,
+    ReflexivityReport,
+)
 
 
 def partitions_by_recursion(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -539,6 +548,48 @@ def parse_ks_by_lines(
             yield KSParseError(line=lineno, message=message)
             continue
         yield record
+
+
+def reflexivity_by_vertices(p: ReflexivePolytope) -> ReflexivityReport:
+    """What ``toricdata.verify_reflexive`` reports, each ``<a, v>`` summed on its own."""
+    diagnostics: list[str] = []
+    d = p.dim
+    if d < 1:
+        diagnostics.append(f"dimension must be positive, got {d}")
+    for kind, rows in (("vertex", p.vertices), ("facet normal", p.facets)):
+        for row in rows:
+            if len(row) != d:
+                diagnostics.append(f"{kind} {row} does not have {d} coordinates")
+            elif not all(isinstance(x, int) for x in row):
+                diagnostics.append(f"{kind} {row} has non-integer coordinates")
+    if diagnostics:
+        return ReflexivityReport(False, tuple(diagnostics), p.vertex_count, p.facet_count)
+    if len(p.vertices) < d + 1:
+        diagnostics.append(f"only {len(p.vertices)} vertices; a {d}-polytope needs {d + 1}")
+    if len(p.facets) < d + 1:
+        diagnostics.append(f"only {len(p.facets)} facets; a {d}-polytope needs {d + 1}")
+    saturations = [0] * len(p.vertices)
+    for a in p.facets:
+        if all(x == 0 for x in a):
+            diagnostics.append("zero facet normal")
+            continue
+        values = [sum(map(operator.mul, a, v)) for v in p.vertices]
+        low = min(values, default=-1)  # a facet of no vertices touches none
+        if low < -1:
+            diagnostics.append(f"facet {a} cuts off a vertex: <a, v> = {low} < -1")
+            continue
+        if low > -1:
+            diagnostics.append(f"facet {a} is not at lattice distance 1: min <a, v> = {low}")
+            continue
+        tight = [i for i, val in enumerate(values) if val == -1]
+        if len(tight) < d:
+            diagnostics.append(f"facet {a} touches only {len(tight)} vertices, need {d}")
+        for i in tight:
+            saturations[i] += 1
+    for i, count in enumerate(saturations):
+        if count < d:
+            diagnostics.append(f"vertex {p.vertices[i]} lies on only {count} facets, need {d}")
+    return ReflexivityReport(not diagnostics, tuple(diagnostics), p.vertex_count, p.facet_count)
 
 
 def format_ks(record: KSRecord) -> str:

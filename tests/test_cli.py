@@ -402,6 +402,40 @@ def test_domain_error_returns_fail_envelope(capsys):
         assert "not a comma-separated integer list" in doc["results"]["error"]
 
 
+def test_integer_options_take_the_partition_part_words(capsys):
+    # int() would run "1_0" as 10 and "+4" as 4: every integer option refuses them
+    options = [
+        ["gn", "--max"],
+        ["alpha", "--n"],
+        ["gcd", "--max", "5", "--jobs"],
+        ["power-check", "--max"],
+        ["certificate", "--n"],
+        ["ks", "filter", "--input", str(DATA / "ks_sample.txt"), "--target"],
+    ]
+    for argv in options:
+        for word in ("1_0", "+4", "+1", "4.0", "0x4", "--4", ""):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, word])
+            assert exc.value.code == 2, (argv, word)
+            assert capsys.readouterr().out == ""
+    # decimal digits after an optional "-", blanks around them and non-ASCII digits included
+    for word, value in (("\u0661", 1), (" 1 ", 1), ("-1", -1)):
+        code, doc = envelope(capsys, ["ks", "filter", "--input", str(DATA / "ks_sample.txt"), "--target", word])
+        assert (code, doc["parameters"]["target"]) == (0, value)
+    code, doc = envelope(capsys, ["gn", "--max", "\u0663"])
+    assert (code, doc["parameters"]["max"], len(doc["results"]["rows"])) == (0, 3, 1)
+
+
+def test_gcd_refuses_like_the_other_per_n_commands(capsys):
+    for argv, error in (
+        (["gcd", "--max", "801"], "need --max <= 800 (the gcd budget), got 801"),
+        (["gcd", "--max", "2"], "need --max >= 3, got 2"),
+        (["power-check", "--max", "401"], "need --max <= 400 (the power-check budget), got 401"),
+    ):
+        code, doc = envelope(capsys, argv)
+        assert (code, doc["status"], doc["results"]) == (1, "fail", {"error": error})
+
+
 def test_over_budget_partition_fails_fast(capsys):
     refused = [
         ["s-number", "--partition", "99999999999999999999"],
@@ -650,6 +684,7 @@ SCALARS = st.one_of(
     st.sampled_from(["\x00\x1f\n\t\"\\", "h\u00e9\u2003\U0001f600", "},\n  {", ""]),
 )
 FLAT_DICTS = st.dictionaries(st.text(max_size=3), SCALARS, min_size=1, max_size=4)
+FLAT_LISTS = st.lists(SCALARS, min_size=1, max_size=4)
 
 
 def _json_values(children):
@@ -659,6 +694,8 @@ def _json_values(children):
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
         st.lists(FLAT_DICTS, max_size=3),
+        st.lists(FLAT_LISTS | FLAT_LISTS.map(tuple), max_size=3),
+        st.lists(FLAT_LISTS, max_size=3).map(tuple),
         keys.flatmap(lambda k: st.dictionaries(k, children, max_size=4)),
     )
 
@@ -682,6 +719,12 @@ def test_dumps_edge_cases():
         {True: [1], False: {}},
         {1.5: [2]},
         [{"s": "},\n    {"}, {"s": "\u0000\x7f\u2028"}],
+        [[1, -2], (3,), ["],\n    [", None]],
+        [[1], [], [2]],
+        [[1, [2]], [3]],
+        [[{"a": 1}], [2]],
+        [{"a": 1}, [2]],
+        {"v": [[-1, -1], [2, -1]], "f": ([1, 0],)},
         ({"t": (1, 2)}, [3, (4,)]),
         -(10**300),
         "\ud800",

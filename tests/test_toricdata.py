@@ -5,14 +5,17 @@ import itertools
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cybordism import toricdata
 from cybordism.partitions import Partition, generator_partitions
 from cybordism.toricdata import (
     _integers,
+    _words,
     KSParseError,
     KSRecord,
     ReflexivePolytope,
@@ -26,7 +29,7 @@ from cybordism.toricdata import (
     verify_reflexive,
 )
 
-from oracles import format_ks, parse_ks_by_lines
+from oracles import format_ks, parse_ks_by_lines, reflexivity_by_vertices
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +156,67 @@ def test_malformed_polytope_data_diagnosed_not_raised():
     report = verify_reflexive(zero_normal)
     assert not report.ok
     assert any("zero facet normal" in d for d in report.diagnostics)
+
+
+def test_vertex_less_polytope_is_diagnosed_not_raised():
+    # a nonzero facet over no vertices once raised "min() arg is an empty sequence"
+    report = verify_reflexive(ReflexivePolytope(dim=1, vertices=(), facets=((1,),)))
+    assert report == (
+        False,
+        (
+            "only 0 vertices; a 1-polytope needs 2",
+            "only 1 facets; a 1-polytope needs 2",
+            "facet (1,) touches only 0 vertices, need 1",
+        ),
+        0,
+        1,
+    )
+    assert report == reflexivity_by_vertices(ReflexivePolytope(1, (), ((1,),)))
+
+
+PERTURBATIONS = ["shift", "scale", "drop", "zero", "none", "dim", "outside", "float", "ragged"]
+
+
+@st.composite
+def perturbed_products(draw):
+    """A product of simplices with a few of its vertex and facet rows broken."""
+    poly = partition_polytope(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    dim, vertices, facets = poly.dim, [*poly.vertices], [*poly.facets]
+    for change in draw(st.lists(st.sampled_from(PERTURBATIONS), max_size=3)):
+        rows = facets if change in ("shift", "scale") or not vertices else vertices
+        if change == "none":
+            vertices = []
+        elif change == "dim":
+            dim = draw(st.sampled_from([0, dim - 1, dim + 1]))
+        elif change == "zero":
+            facets.insert(draw(st.integers(0, len(facets))), (0,) * dim)
+        elif change == "outside":
+            vertices.append((dim + 1,) * dim)
+        elif rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            row = [*rows[k]]
+            if change == "drop":
+                del rows[k]
+            elif change == "scale":
+                rows[k] = tuple(2 * x for x in row)
+            elif row:
+                j = draw(st.integers(0, len(row) - 1))
+                row[j] = row[j] + 1 if change == "shift" else float(row[j])
+                rows[k] = tuple(row[:j] if change == "ragged" else row)
+    return ReflexivePolytope(dim, tuple(vertices), tuple(facets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_products())
+def test_reflexivity_matches_the_per_vertex_check(poly):
+    assert verify_reflexive(poly) == reflexivity_by_vertices(poly)
+
+
+def test_reflexivity_of_larger_products_matches_the_per_vertex_check():
+    for parts in ((2,) * 5, (1,) * 8, (3, 5), (12,)):
+        poly = partition_polytope(parts)
+        expected = (True, (), poly.vertex_count, poly.facet_count)
+        assert verify_reflexive(poly) == reflexivity_by_vertices(poly) == expected
 
 
 # --- record parsing ----------------------------------------------------------
@@ -306,21 +370,29 @@ LINES = st.one_of(HEADERS, ROWS, ROWS, st.sampled_from(["", " ", "\r", "\x0b"]),
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(LINES, max_size=14), st.booleans(), st.booleans())
-def test_parse_matches_the_line_by_line_parser(lines, newlines, strict):
+@given(st.lists(LINES, max_size=14), st.booleans(), st.booleans(), st.sampled_from([1, 2, 3, 4096]))
+def test_parse_matches_the_line_by_line_parser(lines, newlines, strict, block):
     if newlines:
         lines = [line + "\n" for line in lines]
-    assert parsed(lines, strict) == parsed_by_lines(lines, strict)
+    with mock.patch.object(toricdata, "_BLOCK", block):
+        assert parsed(lines, strict) == parsed_by_lines(lines, strict)
 
 
 def test_words_are_integers_exactly_as_the_row_regex_says():
     row = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
     # every string of up to 5 of these characters, ASCII and not
-    for size in range(1, 6):
-        for chars in itertools.product(" -0\t\x1cx٣\u2003", repeat=size):
-            text = "".join(chars)
-            if text.split():
-                assert _integers(text) == bool(row.match(text)), repr(text)
+    texts = ["".join(chars) for size in range(6) for chars in itertools.product(" -0\t\x1c;x٣\u2003", repeat=size)]
+    for text in texts:
+        if text.split():
+            assert _integers(text) == bool(row.match(text)), repr(text)
+            expected = [len(text.split())] if row.match(text) else None
+            assert _words([text]) == expected, repr(text)
+    # rows checked together: each row's count, or None if a row is not integers
+    for rows in itertools.islice(itertools.product(texts[:60] + texts[-60:], repeat=3), 0, None, 7):
+        alone = [_words([row]) for row in rows]
+        expected = None if None in alone else [count for (count,) in alone]
+        assert _words(list(rows)) == expected, rows
+    assert _words([]) == []
 
 
 def test_regex_space_and_digit_classes_are_the_str_predicates():
@@ -378,6 +450,46 @@ def test_count_zero_has_no_matrix_row():
     for lines in (["1 0 H:1,1", ""], ["1 0 H:1,1", "1"], ["0 0 H:1,1"]):
         assert parsed(lines) == parsed_by_lines(lines)
     assert isinstance(next(parse_ks(["0 0 H:1,1"])), KSRecord)
+
+
+GOOD = ["2 3 H:2,1 [2]", "1 -2 3", "0 0 0"]
+BAD_ROW = ["2 3 H:3,1", "1 2 3", "1 x 3"]
+RUNS = [
+    GOOD * 12,
+    BAD_ROW + GOOD * 6,  # a fault on the first record of a run
+    GOOD * 6 + BAD_ROW,  # and on the last
+    GOOD * 4 + BAD_ROW + GOOD * 3 + ["2 3 H:1,1", "1 2"] + GOOD * 3,
+    GOOD * 3 + ["", "  "] + GOOD * 2 + [" \t"] + GOOD,  # blanks inside a run
+    ["1 3 H:2,1", "٣ 1 2"] + GOOD * 3 + ["2 3 H:1,1", "1 ٣ -٣", "1 2 3"] + GOOD,
+    ["1 3 H:2,1", "1\xa02 3", "2 3 H:1,1", "1 2 3", "-٣ 1 x"] + GOOD * 2,
+    ["9 1 H:1,1", *["-7"] * 9, *GOOD],  # a matrix longer than a block
+    ["9 1 H:1,1", *["7"] * 6, "x", "7", *GOOD],
+    GOOD * 3 + ["2 3 H:0,1", "1 2 3", "1 2 3", "2 3 H:1,1 [5]", "1 2 3", "1 2 3"] + GOOD,
+    GOOD * 2 + ["2 3 H:1,1 [" + "9" * 5000 + "]", "1 2 3", "1 2 3"] + GOOD + ["2 3 H:1,1", "1 2 3"],
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 4096])
+def test_runs_across_blocks_match_the_line_by_line_parser(block, monkeypatch):
+    monkeypatch.setattr(toricdata, "_BLOCK", block)
+    for lines in RUNS:
+        for strict in (False, True):
+            for text in (lines, [line + "\n" for line in lines]):
+                assert parsed(text, strict) == parsed_by_lines(text, strict), (block, lines)
+
+
+def test_parse_reads_at_most_one_block_ahead(monkeypatch):
+    monkeypatch.setattr(toricdata, "_BLOCK", 8)
+    read = []
+
+    def source():
+        for line in read_lines("ks_sample.txt") * 5:
+            read.append(line)
+            yield line
+
+    for item in parse_ks(source()):
+        # the block that holds the end of this record, and no more
+        assert len(read) <= item.line + item.ambient_dim + 8
 
 
 def test_filter_examples():
