@@ -16,8 +16,8 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, islice
 
 # Each handler imports the library modules it uses when it runs, so a
 # command starts up with only those; here they are imported for type
@@ -35,13 +35,13 @@ POWER_CHECK_MAX = 400
 # Largest --n for which alpha builds the all-ones partition to check it
 # against the ring budget; every n >= 17 is refused either way.
 ALPHA_MAX_N = 100
-# jsonl lines per write: few system calls even when stdout is unbuffered
+# ks record rows per write: few system calls even when stdout is unbuffered
 JSONL_CHUNK = 4096
 
-# Each handler returns ``(results, status)`` for :func:`run` to print;
-# status is "pass", "fail" or "partial".  The csv of a table command is
-# ``results["rows"]`` in the key order of its dicts, and the jsonl of a ks
-# command is ``results["records"]`` followed by its parse errors.
+# Each handler returns ``(results, status)`` for :func:`run` to print; status
+# is "pass", "fail" or "partial".  The csv of a table command is ``results["rows"]``
+# in the key order of its dicts.  ``ks parse`` and ``filter`` return their records
+# as an iterator and their status as a callable, asked once run has rendered them.
 
 
 def _per_n(top: int, budget: int, name: str) -> range:
@@ -201,8 +201,9 @@ def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if report.ok else "fail"
 
 
-def _read_ks(args: argparse.Namespace, errors: list[dict]) -> Iterator[toricdata.KSRecord]:
-    """The input's records as they are parsed; its error rows go to ``errors``."""
+def _read_ks(args: argparse.Namespace, errors: list, counts: dict, key: str) -> Iterator:
+    """The input's records as they are parsed, counted under ``key`` and "inconsistent";
+    the error rows go to ``errors``, and their number to ``counts`` at the end."""
     from . import toricdata
 
     source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
@@ -210,65 +211,36 @@ def _read_ks(args: argparse.Namespace, errors: list[dict]) -> Iterator[toricdata
         for item in toricdata.parse_ks(handle, strict=args.strict):
             if isinstance(item, toricdata.KSParseError):
                 errors.append({"line": item.line, "message": item.message})
-            else:
-                yield item
+                continue
+            counts[key] += 1
+            counts["inconsistent"] += not item.consistent
+            yield item
+    counts["errors"] = len(errors)
 
 
-def _consistent(
-    records: Iterable[toricdata.KSRecord], counts: dict
-) -> Iterator[toricdata.KSRecord]:
-    """The consistent ``records``, counting all as "parsed", the rest as "inconsistent"."""
-    for record in records:
-        counts["parsed"] += 1
-        if record.consistent:
-            yield record
-        else:
-            counts["inconsistent"] += 1
+def _ks_status(counts: dict, key: str) -> str:
+    good, bad = counts[key] - counts["inconsistent"], counts["errors"] + counts["inconsistent"]
+    return "partial" if bad and good else "fail" if bad else "pass"
 
 
-def _record_dict(record: toricdata.KSRecord) -> dict:
-    payload = record.as_dict()
-    payload["line"] = record.line
-    return payload
-
-
-def _ks_status(n_good: int, n_bad: int) -> str:
-    if n_bad == 0:
-        return "pass"
-    return "partial" if n_good else "fail"
-
-
-def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
     """parse records, reporting positioned errors"""
-    # each record becomes its payload row as it is parsed, so the records
-    # and their matrix rows are never all held at once
-    errors: list[dict] = []
-    payload = [_record_dict(record) for record in _read_ks(args, errors)]
-    inconsistent = sum(1 for row in payload if not row["consistent"])
-    results = {
-        "records": payload,
-        "errors": errors,
-        "counts": {"records": len(payload), "errors": len(errors), "inconsistent": inconsistent},
-    }
-    return results, _ks_status(len(payload) - inconsistent, len(errors) + inconsistent)
+    errors, counts = [], {"records": 0, "inconsistent": 0}
+    records = _read_ks(args, errors, counts, "records")
+    results = {"records": records, "errors": errors, "counts": counts}
+    return results, partial(_ks_status, counts, "records")
 
 
-def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
     """keep records with the requested Hodge difference"""
     from . import toricdata
 
-    # only the printed rows are kept; the other records are counted as they stream
-    errors: list[dict] = []
-    counts = {"parsed": 0, "inconsistent": 0}
-    usable = _consistent(_read_ks(args, errors), counts)
-    payload = [_record_dict(r) for r in toricdata.filter_hodge_difference(usable, args.target)]
-    results = {
-        "target": args.target,
-        "records": payload,
-        "counts": {**counts, "errors": len(errors), "kept": len(payload)},
-    }
-    inconsistent = counts["inconsistent"]
-    return results, _ks_status(counts["parsed"] - inconsistent, len(errors) + inconsistent)
+    counts = {"parsed": 0, "inconsistent": 0, "kept": 0}
+    usable = (record for record in _read_ks(args, [], counts, "parsed") if record.consistent)
+    kept = toricdata.filter_hodge_difference(usable, args.target)
+    records = (record for counts["kept"], record in enumerate(kept, 1))  # counted as they pass
+    results = {"target": args.target, "records": records, "counts": counts}
+    return results, partial(_ks_status, counts, "parsed")
 
 
 def _side_dict(side: toricdata.RangeSide) -> dict:
@@ -284,15 +256,11 @@ def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
     """summarise achieved h11 values for both signs"""
     from . import toricdata
 
-    errors: list[dict] = []
     counts = {"parsed": 0, "inconsistent": 0}
-    report = toricdata.h11_range_report(_consistent(_read_ks(args, errors), counts))
-    results = {
-        "plus": _side_dict(report.plus),
-        "minus": _side_dict(report.minus),
-        "counts": {**counts, "errors": len(errors)},
-    }
-    ok = report.clean and not errors and not counts["inconsistent"]
+    usable = (record for record in _read_ks(args, [], counts, "parsed") if record.consistent)
+    report = toricdata.h11_range_report(usable)
+    results = {"plus": _side_dict(report.plus), "minus": _side_dict(report.minus), "counts": counts}
+    ok = report.clean and not counts["errors"] and not counts["inconsistent"]
     return results, "pass" if ok else "fail"
 
 
@@ -414,6 +382,22 @@ def dumps(obj: object, depth: int = 0) -> str:
     return "".join(("[", inner, body, outer, "]"))
 
 
+def _write_rows(records: Iterable, jsonl: bool, write: Callable) -> None:
+    """Each ks record's row through ``write``, ``JSONL_CHUNK`` rows at a time: a jsonl
+    line, or an item of results.records (depth 2 in the envelope) led by its separator.
+    The format is json's text for a row of ``"%s"``, keys sorted.  ``chi`` is tested with
+    ``is None`` and ``consistent`` by truth, never looked up by value (``1 == True``)."""
+    row = dict.fromkeys("ambient_dim chi consistent h11 h21 line vertex_count".split(), "%s")
+    row = json.dumps(row, sort_keys=True) + "\n" if jsonl else ",\n      " + dumps(row, 3)
+    row, records = row.replace('"%s"', "%s"), iter(records)
+    while chunk := [
+        row % (r.ambient_dim, "null" if r.chi is None else r.chi,
+               "true" if r.consistent else "false", r.h11, r.h21, r.line, r.vertex_count)
+        for r in islice(records, JSONL_CHUNK)
+    ]:
+        write("".join(chunk))
+
+
 def _parameters(args: argparse.Namespace) -> dict:
     skip = {"command", "ks_command", "format", "handler"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -425,21 +409,22 @@ def run(argv: Sequence[str]) -> int:
     command = args.command
     if command == "ks":
         command = f"ks-{args.ks_command}"
+    rows: list[str] = []  # JSON ks record rows, a chunk of text each
     try:
         results, status = args.handler(args)
+        if callable(status):  # ks rows as the records are parsed, then the status
+            jsonl = args.format == "jsonl"
+            _write_rows(results["records"], jsonl, sys.stdout.write if jsonl else rows.append)
+            results["records"], status = [], status()
     except (ValueError, OSError) as exc:
         # a refused or failed command reports in the envelope, whatever the format
-        results, status, args.format = {"error": str(exc)}, "fail", "json"
+        results, status, args.format, rows = {"error": str(exc)}, "fail", "json", []
 
     if args.format == "csv":
         sys.stdout.write(_render_csv(results["rows"]))
     elif args.format == "jsonl":
-        errors = [{"error": True, **err} for err in results.get("errors", ())]
-        stream = results["records"] + errors
-        encode = json.JSONEncoder(sort_keys=True).encode
-        for start in range(0, len(stream), JSONL_CHUNK):
-            chunk = stream[start : start + JSONL_CHUNK]
-            sys.stdout.write("".join([f"{encode(item)}\n" for item in chunk]))
+        encode, errors = json.JSONEncoder(sort_keys=True).encode, results.get("errors", ())
+        sys.stdout.write("".join([f"{encode({'error': True, **e})}\n" for e in errors]))
     else:
         envelope = {
             "command": command,
@@ -447,7 +432,12 @@ def run(argv: Sequence[str]) -> int:
             "results": results,
             "status": status,
         }
-        print(dumps(envelope))
+        head, slot, tail = dumps(envelope).partition('"records": [')
+        if rows:  # the rows go in the records list that dumps left empty
+            rows[0] = rows[0][1:]  # no separator before the first
+            rows.append("\n    ")  # where results.records closes
+        # a write of its own, as print's: a long write to a closed pipe can fail silently
+        sys.stdout.writelines([head, slot, *rows, tail, "\n"])
     return 0 if status == "pass" else 1
 
 

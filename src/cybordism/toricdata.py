@@ -15,6 +15,7 @@ a Calabi-Yau threefold must satisfy ``chi = 2*(h11 - h21)``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import partial, reduce
@@ -174,6 +175,8 @@ _HEADER_RE = re.compile(
 _HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 
 _TOO_LONG = "header number has too many digits"
+_STRAY = "stray matrix row (no preceding valid header)"
+_BAD_ROW = "expected a row of {} integers at line {}"
 
 # Lines are read _BLOCK at a time, so a bad matrix row is reported at most
 # that many lines after it is read.
@@ -259,16 +262,6 @@ class KSRecord(
         """Whether ``chi`` (when present) equals ``2 * (h11 - h21)``."""
         return self.chi is None or self.chi == 2 * (self.h11 - self.h21)
 
-    def as_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "vertex_count": self.vertex_count,
-            "h11": self.h11,
-            "h21": self.h21,
-            "chi": self.chi,
-            "consistent": self.consistent,
-        }
-
 
 class KSParseError(namedtuple("KSParseError", "line message")):
     """Positioned description of an unusable input line or record."""
@@ -305,9 +298,10 @@ def parse_ks(
         # a run of records whose matrices end inside buf, with the rows of
         # all of them checked at once
         run: list[KSRecord | KSParseError] = []
+        spans: list[tuple[int, ...]] = []  # each record's header index, dim, count and end in rows
         rows: list[str] = []
         words: list[int] = []
-        start, end, header = i, len(buf), _HEADER_RE.match
+        end, header = len(buf), _HEADER_RE.match
         while i < end and (match := header(buf[i])):
             dim, count, m1, m2, n1, n2, h11, h21, chi = match.groups()
             try:
@@ -319,6 +313,7 @@ def parse_ks(
             matrix = buf[i + 1 : i + 1 + dim]
             rows += matrix
             words += [count] * dim
+            spans.append((i, dim, count, len(rows)))
             line, i = base + i + 1, i + 1 + dim
             try:  # int() and str() refuse a number past the digit limit (4300 by default)
                 h11, h21 = int(h11), int(h21)
@@ -337,13 +332,28 @@ def parse_ks(
                 run.append(KSParseError(line, _TOO_LONG))
             if len(run) == size:
                 break
-        if rows and _words(rows) != words:
-            # a row is bad: read the run's first record on its own below, then
-            # runs from one record on, so the records parsed twice are never
-            # more than one plus those yielded since the last bad row
-            run, i, size, match = [], start, 1, header(buf[start])
+        full = len(run) == size
+        if rows and (found := _words(rows)) != words:
+            if found is None:
+                # a word is not an integer: keep the records before the first bad one, found by
+                # bisection, and read that one as lines below; the next run is no longer
+                bad = lambda k: _words(rows[: spans[k][3]]) != words[: spans[k][3]]
+                good = bisect_left(range(len(run) - 1), True, key=bad)  # bad(len(run) - 1) holds
+                run, i, size, full = run[:good], spans[good][0], max(good, 1), False
+                match = header(buf[i])
+            else:
+                # every word is an integer: a record's rows are good up to the first of another
+                # length, and from there on read as lines, each blank one skipped, the rest stray
+                items, run = run, []
+                for item, (h, dim, count, stop) in zip(items, spans):
+                    got, line = found[stop - dim : stop], base + h + 1
+                    k = dim if got == [count] * dim else [n == count for n in got].index(False)
+                    if k < dim:
+                        item = KSParseError(line, _BAD_ROW.format(count, line + 1 + k))
+                    run.append(item)
+                    run += [KSParseError(line + 1 + r, _STRAY) for r in range(k, dim) if got[r]]
         yield from run
-        if len(run) == size:
+        if full:
             size *= 2
             continue
         if i == len(buf):
@@ -358,7 +368,7 @@ def parse_ks(
             yield KSParseError(
                 lineno,
                 f"malformed header: {text.strip()!r}" if "H:" in text
-                else "stray matrix row (no preceding valid header)" if _integers(text)
+                else _STRAY if _integers(text)
                 else "missing H:<h11>,<h21> field" if _HEADERISH_RE.match(text)
                 else f"unrecognized line: {text.strip()!r}",
             )
@@ -379,7 +389,7 @@ def parse_ks(
         if good == dim:
             i -= 1  # all good: the record is parsed as a run of its own
             continue
-        message = f"expected a row of {count} integers at line {lineno + 1 + good}"
+        message = _BAD_ROW.format(count, lineno + 1 + good)
         i += good
         yield KSParseError(lineno, "input ended inside the vertex matrix" if i == len(buf) else message)
 

@@ -592,6 +592,18 @@ def reflexivity_by_vertices(p: ReflexivePolytope) -> ReflexivityReport:
     return ReflexivityReport(not diagnostics, tuple(diagnostics), p.vertex_count, p.facet_count)
 
 
+def as_dict(record: KSRecord) -> dict:
+    """A record's JSON fields, the reference encoding of a ``ks`` row (which adds ``line``)."""
+    return {
+        "ambient_dim": record.ambient_dim,
+        "vertex_count": record.vertex_count,
+        "h11": record.h11,
+        "h21": record.h21,
+        "chi": record.chi,
+        "consistent": record.consistent,
+    }
+
+
 def format_ks(record: KSRecord) -> str:
     """A record as the header-plus-matrix text that ``parse_ks`` reads back."""
     bits = [f"{record.ambient_dim} {record.vertex_count}"]

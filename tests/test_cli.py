@@ -11,6 +11,7 @@ import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,9 @@ from hypothesis import strategies as st
 import cybordism
 from cybordism import cli, cohomology
 from cybordism.cli import dumps, run
+from cybordism.toricdata import KSRecord
+
+from oracles import as_dict, format_ks
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "ks_sample.txt")
@@ -370,6 +374,123 @@ def test_ks_reads_stdin(capsys, monkeypatch):
     assert from_stdin["results"] == from_file["results"]
 
 
+@st.composite
+def ks_records(draw):
+    """Records whose rows hold each kind of scalar: ``chi`` None, 0, 1, -1 or large,
+    consistent or not, and a large ``h11``."""
+    h11 = draw(st.integers(1, 99) | st.just(10**40))
+    h21 = draw(st.integers(0, 99) | st.just(h11))
+    chi = draw(st.sampled_from([None, 0, 1, -1, -(10**40), "consistent"]))
+    chi = 2 * (h11 - h21) if chi == "consistent" else chi
+    dim = draw(st.integers(0, 2))
+    return KSRecord(dim, 2, h11, h21, chi, matrix=("1 -1",) * dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ks_records(), max_size=7), st.sampled_from([1, 2, 3, 4096]))
+def test_ks_rows_are_the_reference_encoding(records, chunk):
+    # the rows of ks parse and ks filter, in both layouts, against json's text
+    # for as_dict plus the header line, across every chunk boundary
+    text = "".join(format_ks(record) + "\n" for record in records)
+    rows, line = [], 1
+    for record in records:
+        rows.append({**as_dict(record), "line": line})
+        line += 1 + record.ambient_dim
+    kept = [row for row, r in zip(rows, records) if r.consistent and r.hodge_difference == 1]
+    for argv, expected in ((["parse"], rows), (["filter", "--target", "1"], kept)):
+        out = {}
+        for fmt in ("json", "jsonl"):
+            with mock.patch.object(cli, "JSONL_CHUNK", chunk), mock.patch.object(
+                sys, "stdin", io.StringIO(text)
+            ), contextlib.redirect_stdout(io.StringIO()) as stdout:
+                run(["ks", *argv, "--input", "-", "--format", fmt])
+            out[fmt] = stdout.getvalue()
+        assert out["jsonl"] == "".join(json.dumps(row, sort_keys=True) + "\n" for row in expected)
+        doc = json.loads(out["json"])
+        assert doc["results"]["records"] == expected  # 1 == True: the line below tells them apart
+        doc["results"]["records"] = expected
+        assert out["json"] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_ks_parse_jsonl_streams(monkeypatch):
+    # each chunk of rows is written while the input is still being read
+    monkeypatch.setattr(cli, "JSONL_CHUNK", 16)
+    sample = (DATA / "ks_sample.txt").read_text().splitlines(keepends=True)
+    stdout, written = io.StringIO(), []
+
+    def lines():
+        for _ in range(200):
+            yield from sample
+        written.append(stdout.getvalue())  # what stdout held when the input ran out
+
+    monkeypatch.setattr(sys, "stdin", lines())
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["ks", "parse", "--input", "-", "--format", "jsonl"]) == 0
+    rows = stdout.getvalue().splitlines()
+    assert len(rows) == 200 * 12
+    assert written[0].startswith(rows[0]) and written[0].count("\n") >= 16
+
+
+def test_ks_jsonl_reader_closing_the_pipe_exits_1_quietly(tmp_path):
+    path = tmp_path / "ks.txt"
+    path.write_text((DATA / "ks_sample.txt").read_text() * 2000)  # 24000 rows, far more than a pipe holds
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(child.stdout.readline())["line"] == 1
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+def test_ks_jsonl_mid_file_failure_prints_rows_then_the_envelope(monkeypatch, capsys, tmp_path):
+    # declared: the rows written before invalid UTF-8 stay, then the fail envelope
+    # follows; rows are written a chunk at a time and read a block ahead
+    monkeypatch.setattr(cli, "JSONL_CHUNK", 1)
+    valid = (DATA / "ks_sample.txt").read_text() * 40
+    path = tmp_path / "late.txt"
+    path.write_bytes(valid.encode() + b"4 5 H:1,2 \xff\n")
+    code, out = invoke(capsys, ["ks", "parse", "--input", str(path), "--format", "jsonl"])
+    rows, brace, rest = out.partition("{\n")
+    doc = json.loads(brace + rest)
+    assert code == 1 and doc["status"] == "fail" and "utf-8" in doc["results"]["error"]
+    rows = [json.loads(row) for row in rows.splitlines()]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(valid)
+    _, whole = envelope(capsys, ["ks", "parse", "--input", str(path)])
+    assert 0 < len(rows) < len(whole["results"]["records"])
+    assert rows == whole["results"]["records"][: len(rows)]
+
+
+# ``ru_maxrss`` of a child includes its parent's memory at the fork, so peaks are
+# read by a small parent of their own
+PEAK_RSS = """
+import json, os, subprocess
+child = subprocess.Popen({argv!r}, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
+def test_ks_parse_jsonl_memory_stays_flat(tmp_path):
+    sample = (DATA / "ks_sample.txt").read_text()
+    peaks = []
+    for records in (2 * 10**4, 10**5):
+        path = tmp_path / f"ks-{records}.txt"
+        path.write_text(sample * (records // 12))
+        argv = [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"]
+        code, peak = probe(PEAK_RSS.format(argv=argv))
+        assert code == 0
+        peaks.append(peak * (1 if sys.platform == "darwin" else 1024))  # bytes on macOS, else KiB
+    assert peaks[1] - peaks[0] < 8 * 2**20, peaks
+
+
 def test_ks_non_utf8_input_fails_cleanly(capsys, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"4 5 M:1 2 N:3 4 H:1,2 \xff\n")
@@ -467,9 +588,11 @@ def test_over_budget_partition_fails_fast(capsys):
 
 
 def test_missing_input_file_fails_cleanly(capsys):
-    code, doc = envelope(capsys, ["ks", "parse", "--input", "no-such-file.txt"])
-    assert code == 1
-    assert doc["status"] == "fail"
+    # jsonl too: the input is opened before any row is written
+    for fmt in ("json", "jsonl"):
+        code, doc = envelope(capsys, ["ks", "parse", "--input", "no-such-file.txt", "--format", fmt])
+        assert code == 1
+        assert doc["status"] == "fail"
 
 
 def test_usage_errors_exit_2():

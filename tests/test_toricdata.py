@@ -466,6 +466,12 @@ RUNS = [
     ["9 1 H:1,1", *["7"] * 6, "x", "7", *GOOD],
     GOOD * 3 + ["2 3 H:0,1", "1 2 3", "1 2 3", "2 3 H:1,1 [5]", "1 2 3", "1 2 3"] + GOOD,
     GOOD * 2 + ["2 3 H:1,1 [" + "9" * 5000 + "]", "1 2 3", "1 2 3"] + GOOD + ["2 3 H:1,1", "1 2 3"],
+    # integer rows of the wrong length in several records of one run: a short
+    # row, a blank row, a long row and a count-0 record, with the rows after
+    # each bad one stray or blank
+    GOOD * 2 + ["2 3 H:1,1", "1 2", "1 2 3"] + GOOD + ["3 3 H:1,1", "1 2 3", "", "4 5 6 7"]
+    + ["2 3 H:0,1", " ", "1"] + GOOD + ["1 0 H:1,1", "1"] + ["2 3 H:2,1 [9]", "1 2 3 4", "5"] + GOOD,
+    (["2 3 H:1,1", "1 2 3", "1 2"] + GOOD) * 5,  # a bad last row in every other record
 ]
 
 
