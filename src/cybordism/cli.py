@@ -436,12 +436,16 @@ def run(argv: Sequence[str]) -> int:
         if rows:  # the rows go in the records list that dumps left empty
             rows[0] = rows[0][1:]  # no separator before the first
             rows.append("\n    ")  # where results.records closes
-        # a write of its own, as print's: a long write to a closed pipe can fail silently
         sys.stdout.writelines([head, slot, *rows, tail, "\n"])
     return 0 if status == "pass" else 1
 
 
 def main() -> None:
+    # stdout through a BufferedWriter even when Python runs unbuffered (-u): a raw
+    # file can take part of a long write to a pipe whose reader has gone and report
+    # no error, where a BufferedWriter writes the rest, and that write raises
+    stdout = sys.stdout
+    sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

@@ -29,8 +29,8 @@ from .partitions import (
 )
 
 # Largest accepted bound of the gcd scan: one knapsack over the
-# undominated part sizes per prime below it, about 0.16 s at 800 on a
-# 2-core VM.
+# undominated part sizes per prime below it, 0.25-0.37 s at 800 (five
+# in-process calls on a 2-core VM).
 GCD_MAX_N = 800
 # Largest accepted certificate n: the walk visits all p(n) capped partitions
 # (about 4.7x more per 10); `certificate --n 50` takes 0.36 s and 26 MB.

@@ -15,7 +15,6 @@ a Calabi-Yau threefold must satisfy ``chi = 2*(h11 - h21)``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import partial, reduce
@@ -181,50 +180,41 @@ _BAD_ROW = "expected a row of {} integers at line {}"
 # Lines are read _BLOCK at a time, so a bad matrix row is reported at most
 # that many lines after it is read.
 _BLOCK = 1024
-# ASCII digits -> "0", whitespace (str.isspace) -> " ", "-" and ";" kept, the rest -> "!"
+# ASCII digits -> "0", whitespace (str.isspace) -> "1", "-" and ";" kept, the rest -> "!"
 _ROW_BYTES = bytes(
-    48 if chr(b).isdecimal() else 32 if chr(b).isspace() else b if chr(b) in "-;" else 33
+    48 if chr(b).isdecimal() else 49 if chr(b).isspace() else b if chr(b) in "-;" else 33
     for b in range(256)
 )
 
 
-def _integers(text: str) -> bool:
-    r"""Whether every whitespace-separated word of ``text`` is an integer ``-?\d+``.
+def _row_words(rows: list[str]) -> list[int]:
+    r"""Each row's number of words, or -1 for a row with a word that is not ``-?\d+``.
 
-    On text with a word this is the regex ``^\s*-?\d+(\s+-?\d+)*\s*$``:
-    ``re``'s ``\s`` and ``\d`` on ``str`` patterns are ``str.isspace`` and
-    ``str.isdecimal``, which ``str.split`` and the checks here use too.
-    ASCII text mapped through ``_ROW_BYTES`` is all integers exactly when
-    nothing but spaces and zeros is left once each " -0" is " 0".
-    """
-    if text.isascii():
-        return not f" {text}".encode().translate(_ROW_BYTES).replace(b" -0", b" 0").strip(b" 0")
-    return all(word.removeprefix("-").isdecimal() for word in text.split())
-
-
-def _words(rows: list[str]) -> list[int] | None:
-    """Each row's number of words, or ``None`` when a word is not an integer.
-
-    ASCII rows are checked at once, each ended by " ; " and mapped through
-    ``_ROW_BYTES``: no "!" may be left, every "-" must begin a " -0", and then
-    each row has one "0 " per word (a ";" in a row makes too many rows).
+    A row is integers exactly when the regex ``^\s*-?\d+(\s+-?\d+)*\s*$``
+    matches it or it is blank: ``re``'s ``\s`` and ``\d`` on ``str`` patterns
+    are ``str.isspace`` and ``str.isdecimal``, which ``str.split`` and the
+    checks here use too.  ASCII rows are mapped through ``_ROW_BYTES``, each
+    ended by " ; ", and each "1-0" is made "100": then a row is integers when
+    it is all digits, and has one "01" per word (a ";" in a row makes too
+    many rows).  All rows are checked at once, and each on its own only
+    when that fails.
     """
     text = " ; ".join([*rows, ""])
-    if not text.isascii():
-        return [*map(len, map(str.split, rows))] if _integers(" ".join(rows)) else None
-    mapped = f" {text}".encode().translate(_ROW_BYTES)
-    if b"!" in mapped or mapped.count(b"-") != mapped.count(b" -0"):
-        return None
-    counts = [*map(bytes.count, mapped.split(b";")[:-1], repeat(b"0 "))]
-    return counts if len(counts) == len(rows) else None
+    if text.isascii():
+        mapped = f" {text}".encode().translate(_ROW_BYTES).replace(b"1-0", b"100")
+        if len(parts := mapped.split(b";")[:-1]) == len(rows):
+            counts = [*map(bytes.count, parts, repeat(b"01"))]
+            if b"!" in mapped or b"-" in mapped:
+                counts = [n if part.isdigit() else -1 for n, part in zip(counts, parts)]
+            return counts
+    words = map(str.split, rows)
+    return [len(w) if all(x.removeprefix("-").isdecimal() for x in w) else -1 for w in words]
 
 
-def _good_rows(rows: list[str], count: int) -> int:
-    """How many of ``rows`` come before the first that is not ``count`` integers."""
-    if count > 0 and _words(rows) == [count] * len(rows):
-        return len(rows)
-    bad = (k for k, row in enumerate(rows) if len(row.split()) != count or not _integers(row))
-    return next(bad, 0) if count > 0 else 0
+def _good_rows(words: list[int], count: int) -> int:
+    """How many rows, by their ``_row_words``, come before the first not ``count`` integers."""
+    count = count or None  # a row of 0 integers is blank, never good
+    return len(words) if words == [count] * len(words) else [*map(eq, words, repeat(count))].index(False)
 
 
 class KSRecord(
@@ -333,25 +323,20 @@ def parse_ks(
             if len(run) == size:
                 break
         full = len(run) == size
-        if rows and (found := _words(rows)) != words:
-            if found is None:
-                # a word is not an integer: keep the records before the first bad one, found by
-                # bisection, and read that one as lines below; the next run is no longer
-                bad = lambda k: _words(rows[: spans[k][3]]) != words[: spans[k][3]]
-                good = bisect_left(range(len(run) - 1), True, key=bad)  # bad(len(run) - 1) holds
-                run, i, size, full = run[:good], spans[good][0], max(good, 1), False
-                match = header(buf[i])
-            else:
-                # every word is an integer: a record's rows are good up to the first of another
-                # length, and from there on read as lines, each blank one skipped, the rest stray
-                items, run = run, []
-                for item, (h, dim, count, stop) in zip(items, spans):
-                    got, line = found[stop - dim : stop], base + h + 1
-                    k = dim if got == [count] * dim else [n == count for n in got].index(False)
-                    if k < dim:
-                        item = KSParseError(line, _BAD_ROW.format(count, line + 1 + k))
-                    run.append(item)
-                    run += [KSParseError(line + 1 + r, _STRAY) for r in range(k, dim) if got[r]]
+        if rows and (found := _row_words(rows)) != words:
+            # a record's rows are good up to its first bad one; while the rest are integers
+            # they are read here as lines, each blank one skipped and the others stray, and
+            # otherwise the line path below reads on from the bad row, which may be a header
+            items, run = run, []
+            for item, (h, dim, count, stop) in zip(items, spans):
+                got, line = found[stop - dim : stop], base + h + 1
+                k = _good_rows(got, count)
+                run.append(item if k == dim else KSParseError(line, _BAD_ROW.format(count, line + 1 + k)))
+                if -1 in got[k:]:  # the next run is no longer than the records kept
+                    i, size, full = h + 1 + k, max(spans.index((h, dim, count, stop)), 1), False
+                    match = header(buf[i])
+                    break
+                run += [KSParseError(line + 1 + r, _STRAY) for r in range(k, dim) if got[r]]
         yield from run
         if full:
             size *= 2
@@ -368,7 +353,7 @@ def parse_ks(
             yield KSParseError(
                 lineno,
                 f"malformed header: {text.strip()!r}" if "H:" in text
-                else _STRAY if _integers(text)
+                else _STRAY if _row_words([text]) != [-1]
                 else "missing H:<h11>,<h21> field" if _HEADERISH_RE.match(text)
                 else f"unrecognized line: {text.strip()!r}",
             )
@@ -380,12 +365,12 @@ def parse_ks(
             continue
         # the rows up to the first bad one, read a block at a time while they
         # are good; buf keeps the lines from the header on
-        good = _good_rows(buf[i : i + dim], count)
+        good = _good_rows(_row_words(buf[i : i + dim]), count)
         while good == len(buf) - i < dim and (more := _read(lines)):
             del buf[: i - 1]
             base, i = base + i - 1, 1
             buf += more
-            good += _good_rows(buf[1 + good : 1 + dim], count)
+            good += _good_rows(_row_words(buf[1 + good : 1 + dim]), count)
         if good == dim:
             i -= 1  # all good: the record is parsed as a run of its own
             continue

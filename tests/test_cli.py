@@ -448,6 +448,26 @@ def test_ks_jsonl_reader_closing_the_pipe_exits_1_quietly(tmp_path):
     child.stderr.close()
 
 
+def test_ks_jsonl_one_long_write_to_a_closed_pipe_exits_1_quietly(tmp_path):
+    # 2400 rows, about 250 KB: one chunk, so one write, far more than a pipe holds;
+    # unbuffered, a raw write stops short with no error once the reader has gone
+    path = tmp_path / "ks.txt"
+    path.write_text((DATA / "ks_sample.txt").read_text() * 200)
+    assert 2400 <= cli.JSONL_CHUNK
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"},
+    )
+    assert json.loads(child.stdout.readline())["line"] == 1
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_ks_jsonl_mid_file_failure_prints_rows_then_the_envelope(monkeypatch, capsys, tmp_path):
     # declared: the rows written before invalid UTF-8 stay, then the fail envelope
     # follows; rows are written a chunk at a time and read a block ahead

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from cybordism import toricdata
 from cybordism.partitions import Partition, generator_partitions
 from cybordism.toricdata import (
-    _integers,
-    _words,
+    _row_words,
     KSParseError,
     KSRecord,
     ReflexivePolytope,
@@ -380,19 +379,16 @@ def test_parse_matches_the_line_by_line_parser(lines, newlines, strict, block):
 
 def test_words_are_integers_exactly_as_the_row_regex_says():
     row = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
-    # every string of up to 5 of these characters, ASCII and not
+    # every string of up to 5 of these characters, ASCII and not: its word count
+    # when it is integers or blank, else -1
     texts = ["".join(chars) for size in range(6) for chars in itertools.product(" -0\t\x1c;x٣\u2003", repeat=size)]
+    verdicts = {text: -1 if text.split() and not row.match(text) else len(text.split()) for text in texts}
     for text in texts:
-        if text.split():
-            assert _integers(text) == bool(row.match(text)), repr(text)
-            expected = [len(text.split())] if row.match(text) else None
-            assert _words([text]) == expected, repr(text)
-    # rows checked together: each row's count, or None if a row is not integers
+        assert _row_words([text]) == [verdicts[text]], repr(text)
+    # rows checked together: each row's verdict, as when taken alone
     for rows in itertools.islice(itertools.product(texts[:60] + texts[-60:], repeat=3), 0, None, 7):
-        alone = [_words([row]) for row in rows]
-        expected = None if None in alone else [count for (count,) in alone]
-        assert _words(list(rows)) == expected, rows
-    assert _words([]) == []
+        assert _row_words(list(rows)) == [verdicts[text] for text in rows], rows
+    assert _row_words([]) == []
 
 
 def test_regex_space_and_digit_classes_are_the_str_predicates():
@@ -454,6 +450,7 @@ def test_count_zero_has_no_matrix_row():
 
 GOOD = ["2 3 H:2,1 [2]", "1 -2 3", "0 0 0"]
 BAD_ROW = ["2 3 H:3,1", "1 2 3", "1 x 3"]
+SWALLOWED = ["5 3 H:1,1", "1 2 3", "x 2 3", "1 3 H:2,1", "4 5 6", "1 2"]
 RUNS = [
     GOOD * 12,
     BAD_ROW + GOOD * 6,  # a fault on the first record of a run
@@ -472,6 +469,12 @@ RUNS = [
     GOOD * 2 + ["2 3 H:1,1", "1 2", "1 2 3"] + GOOD + ["3 3 H:1,1", "1 2 3", "", "4 5 6 7"]
     + ["2 3 H:0,1", " ", "1"] + GOOD + ["1 0 H:1,1", "1"] + ["2 3 H:2,1 [9]", "1 2 3 4", "5"] + GOOD,
     (["2 3 H:1,1", "1 2 3", "1 2"] + GOOD) * 5,  # a bad last row in every other record
+    # a non-integer row followed, inside its record's claimed matrix, by a header
+    # and a short integer row; runs of 1, 2 and 4 records begin at records 0, 1
+    # and 3, and end at 0, 2 and 6
+    *(GOOD * k + SWALLOWED + GOOD * 2 for k in (0, 1, 2, 3, 6)),
+    GOOD * 6 + SWALLOWED,
+    GOOD * 2 + SWALLOWED[:3] + SWALLOWED[5:] + SWALLOWED[3:5] + GOOD,
 ]
 
 
