@@ -24,7 +24,7 @@ _EXPORTS = {
         "cohomology": (
             "ProjectiveProduct", "TruncatedPolynomial", "chern_total", "fundamental_pairing",
             "hypersurface_chern_numbers", "hypersurface_euler_characteristic",
-            "hypersurface_s_number", "power_sum_direct",
+            "hypersurface_s_number", "power_sum_direct", "verify_alpha",
         ),
         "generators": (
             "GeneratorCertificate", "certificate", "low_dimension_table",

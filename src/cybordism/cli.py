@@ -32,9 +32,6 @@ if TYPE_CHECKING:
 # 131 MB, power-check at 400 about 1.3 s and 50 MB (2-core VM).
 GN_MAX = 100_000
 POWER_CHECK_MAX = 400
-# Largest --n for which alpha builds the all-ones partition to check it
-# against the ring budget; every n >= 17 is refused either way.
-ALPHA_MAX_N = 100
 # ks record rows per write: few system calls even when stdout is unbuffered
 JSONL_CHUNK = 4096
 
@@ -71,28 +68,13 @@ def _cmd_gn(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_alpha(args: argparse.Namespace) -> tuple[dict, str]:
     """s-number magnitudes over the capped partitions of n, both routes"""
-    from . import cohomology, partitions
+    from . import cohomology
 
-    if args.n > ALPHA_MAX_N:
-        raise ValueError(f"need --n <= {ALPHA_MAX_N} (the alpha budget), got {args.n}")
-    if args.n >= 3:
-        # prod(d_i + 1) <= 2**n, so the all-ones partition has the costliest
-        # ring: refuse an over-budget n on it before any ring arithmetic
-        cohomology._check_ring_cost(partitions.Partition([1] * args.n))
-    rows = []
-    for sigma in partitions.generator_partitions(args.n):
-        magnitude = partitions.weighted_multinomial(sigma)
-        s_value = cohomology.hypersurface_s_number(sigma)
-        rows.append(
-            {
-                "partition": sigma.label,
-                "multinomial": partitions.multinomial(sigma),
-                "alpha": magnitude,
-                "s_number": s_value,
-                "match": s_value == -magnitude,
-            }
-        )
-    return {"n": args.n, "rows": rows}, "pass" if all(row["match"] for row in rows) else "fail"
+    if args.n > cohomology.ALPHA_MAX_N:
+        raise ValueError(f"need --n <= {cohomology.ALPHA_MAX_N} (the alpha budget), got {args.n}")
+    report = cohomology.verify_alpha(args.n)
+    rows = [{**row._asdict(), "partition": row.partition.label} for row in report.rows]
+    return {"n": args.n, "rows": rows}, "pass" if report.passed else "fail"
 
 
 def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:

@@ -7,14 +7,12 @@ monomial, the quotient is modelled exactly by integer polynomials with a
 per-variable exponent cap: any product monomial exceeding a cap is zero
 and is silently dropped.
 
-The tangent bundle of ``V`` splits stably into ``d_i + 1`` copies of the
-hyperplane line bundle per factor, so the total Chern class is
-``prod (1 + u_i)^{d_i + 1}`` and the degree-2j power-sum class is
-``sum (d_i + 1) u_i^j``.  The anticanonical hypersurface ``N`` dual to
-``c_1(V)`` has ``c_1(N) = 0``; all of its characteristic numbers are
-evaluated on ``V`` by multiplying with ``c_1(V)`` (the class dual to N)
-and pairing with the fundamental class, so ``N`` itself is never
-constructed.
+The tangent bundle of ``V`` splits stably into ``d_i + 1`` hyperplane line
+bundles per factor, so the total Chern class is ``prod (1 + u_i)^{d_i + 1}``
+and the degree-2j power-sum class is ``sum (d_i + 1) u_i^j``.  The
+anticanonical hypersurface ``N`` dual to ``c_1(V)`` has ``c_1(N) = 0``; its
+characteristic numbers are evaluated on ``V`` by multiplying with ``c_1(V)``
+and pairing with the fundamental class, so ``N`` is never constructed.
 
 :class:`TruncatedPolynomial` is the dense model, one term per monomial.
 The evaluators work in :class:`_OrbitRing` instead: every class they use
@@ -25,31 +23,34 @@ of monomials under those permutations.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cache
 from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, prod
 
-from .partitions import Partition, check_budget, count_partitions, enumerate_partitions
+from .partitions import (
+    Partition, check_budget, count_partitions, enumerate_partitions, generator_partitions,
+    multinomial, weighted_multinomial,
+)
 
-# Largest accepted ``prod(d_i + 1) * n`` (ring monomials times degree) for
-# the hypersurface evaluators.  (1,)*16, 2**16 monomials in degree 16, is
-# admitted; one more part of size 1 is refused.  Both budgets count dense
-# monomials, so they were set for the dense model: in the orbit basis
-# (1,)*16 has 17 orbits and its s-number takes under 1 ms on a 2-core VM.
+# Largest accepted ``prod(d_i + 1) * n`` (dense monomials times degree) for the
+# evaluators: (1,)*16 is admitted, one more part 1 is refused.  Both budgets count
+# dense monomials; in the orbit basis (1,)*16 has 17 orbits and its s-number takes
+# under 1 ms on a 2-core VM.
 RING_COST_BUDGET = 2**21
 # Largest accepted ``p(n - 1) * prod(d_i + 1)**2`` for a Chern-number table.
 # (1,)*12 and (50,), about 0.01 s and 0.7 s on a 2-core VM, are admitted;
 # (60,), with p(59) = 831,820 entries, and (1,)*13 are refused.
 CHERN_TABLE_BUDGET = 2**30
+# Largest n for which verify_alpha builds the all-ones partition to check it
+# against the ring budget; every n >= 17 is refused either way.
+ALPHA_MAX_N = 100
 
 
 class ProjectiveProduct:
-    """A product of complex projective spaces ``CP^{d_1} x ... x CP^{d_k}``.
-
-    Factor dimensions are kept in the canonical (weakly decreasing)
-    order of the indexing partition, so ``u_1`` always belongs to the
-    largest factor.
-    """
+    """A product of complex projective spaces ``CP^{d_1} x ... x CP^{d_k}``, factors
+    weakly decreasing as in the indexing partition: ``u_1`` is the largest one's."""
 
     __slots__ = ("dims", "k", "n")
 
@@ -100,20 +101,14 @@ class TruncatedPolynomial:
     def __init__(self, space: ProjectiveProduct, terms: Mapping[tuple[int, ...], int]):
         caps = space.dims
         self.space = space
-        self.terms = {
-            e: c
-            for e, c in terms.items()
-            if c != 0 and all(map(operator.le, e, caps))
-        }
+        self.terms = {e: c for e, c in terms.items() if c != 0 and all(map(operator.le, e, caps))}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def graded_part(self, degree: int) -> "TruncatedPolynomial":
         """Terms of total polynomial degree ``degree`` (cohomological degree 2*degree)."""
-        return TruncatedPolynomial(
-            self.space, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
+        return TruncatedPolynomial(self.space, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def _check_space(self, other: "TruncatedPolynomial") -> None:
         if self.space != other.space:
@@ -139,9 +134,7 @@ class TruncatedPolynomial:
 
     def __mul__(self, other: "TruncatedPolynomial | int") -> "TruncatedPolynomial":
         if isinstance(other, int):
-            return TruncatedPolynomial(
-                self.space, {e: c * other for e, c in self.terms.items()}
-            )
+            return TruncatedPolynomial(self.space, {e: c * other for e, c in self.terms.items()})
         self._check_space(other)
         caps = self.space.dims
         out: dict[tuple[int, ...], int] = {}
@@ -168,19 +161,14 @@ class TruncatedPolynomial:
         names = [f"u{i + 1}" for i in range(self.space.k)]
         bits = []
         for e, c in sorted(self.terms.items()):
-            mon = "*".join(
-                f"{name}^{a}" if a > 1 else name for name, a in zip(names, e) if a
-            )
+            mon = "*".join(f"{name}^{a}" if a > 1 else name for name, a in zip(names, e) if a)
             bits.append(f"{c}" if not mon else f"{c}*{mon}")
         return " + ".join(bits)
 
 
 def fundamental_pairing(x: TruncatedPolynomial) -> int:
-    """Evaluate a class against the fundamental homology class of its space.
-
-    Equals the coefficient of the top monomial ``u_1^{d_1} ... u_k^{d_k}``;
-    lower-degree terms pair to zero.
-    """
+    """A class against the fundamental class of its space: the coefficient of the
+    top monomial ``u_1^{d_1} ... u_k^{d_k}``, as lower degrees pair to zero."""
     return x.terms.get(x.space.top_monomial, 0)
 
 
@@ -198,12 +186,9 @@ def chern_total(space: ProjectiveProduct) -> TruncatedPolynomial:
 
 
 def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
-    """Degree-2j power sum ``sum (d_i + 1) u_i^j`` of the tangent line classes.
-
-    The tangent bundle of the product splits stably into ``d_i + 1``
-    hyperplane lines per factor, so the power sum is read off directly,
-    with no Newton identities on the total Chern class.
-    """
+    """Degree-2j power sum ``sum (d_i + 1) u_i^j`` of the tangent line classes, read off
+    the stable splitting into ``d_i + 1`` hyperplane lines per factor, with no Newton
+    identities on the total Chern class."""
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     k = space.k
@@ -215,10 +200,7 @@ def power_sum_direct(space: ProjectiveProduct, j: int) -> TruncatedPolynomial:
 class _Memo(dict):
     """A dict that fills a missing key with ``fill(key)``."""
 
-    __slots__ = ("fill",)
-
     def __init__(self, fill):
-        super().__init__()
         self.fill = fill
 
     def __missing__(self, key):
@@ -242,6 +224,23 @@ def _rearrangements(values: list[int]) -> Iterator[tuple[int, ...]]:
         values[i + 1 :] = reversed(values[i + 1 :])
 
 
+@cache
+def _block_table(d: int, m: int) -> dict[int, tuple[tuple[tuple[int, int], ...], int, int]]:
+    """Each ascending state v of a block of ``m`` parts ``d``, by its sub-key: its
+    ``c_1`` raises as (relative unit, multiplier) pairs, its orbit size, and the
+    sub-key of its complement ``sorted(d - v)``.  Raising the last ``v_i < d``
+    keeps v ascending, and any of the ``v_i + 1`` of the target could have been
+    the one raised by ``(d + 1) u_i``."""
+    width, table = d.bit_length() + 1, {}
+    for state in combinations_with_replacement(range(d + 1), m):
+        last = [i for i in range(m) if state[i] < d and (i + 1 == m or state[i + 1] > state[i])]
+        raises = tuple((1 << i * width, (d + 1) * (state.count(state[i] + 1) + 1)) for i in last)
+        size = factorial(m) // prod(factorial(len(list(run))) for _, run in groupby(state))
+        complement = sum(d - v << i * width for i, v in enumerate(reversed(state)))
+        table[sum(v << i * width for i, v in enumerate(state))] = raises, size, complement
+    return table
+
+
 class _OrbitRing:
     """The block-symmetric classes of ``H*(V; Z)``, in the basis of orbit sums.
 
@@ -257,8 +256,11 @@ class _OrbitRing:
     order, each with a guard bit: two monomials multiply by one integer
     addition, and an exponent past its cap sets a guard bit.  An orbit
     is named by its representative, the monomial whose exponents ascend
-    within each block.  With distinct parts every orbit is one monomial
-    and a product is the dense loop.
+    within each block.  A block's fields are contiguous and equally wide,
+    so its part of a key, shifted down, is a state of its
+    :func:`_block_table` at any offset: one table serves every ring.
+    :meth:`times_c1` reads its raises, and :meth:`pair` counts each orbit
+    ``|O|`` times against the orbit of its complement ``top - O``.
 
     Only structure constants of the ring enter, never the
     weighted-multinomial formula, so the s-numbers stay a check on it.
@@ -267,35 +269,32 @@ class _OrbitRing:
     ``|T|`` monomials of T, that is ``|A|`` times the number of monomials
     b of the orbit of y with ``a + b`` in T, for the representative a of
     an orbit A of x; :meth:`mul` accumulates those counts and divides by
-    ``|T|``.  The pairing weights each orbit by its size.
+    ``|T|``, the sizes read from the tables.
     """
 
     def __init__(self, sigma: Partition):
         self.sigma = sigma
         self.n = sigma.n
         self.fields: list[tuple[int, int]] = []  # (shift, mask) per factor
-        shift = bias = guard = top = 0
-        for d in sigma:
-            width = d.bit_length() + 1
-            self.fields.append((shift, (1 << width) - 1))
-            # the digit a + b + bias reaches the guard bit iff a + b > d
-            bias |= ((1 << width - 1) - 1 - d) << shift
-            guard |= 1 << shift + width - 1
-            top |= d << shift
-            shift += width
-        self.bias, self.guard, self.top = bias, guard, top
         self.blocks: list[tuple[int, int, int]] = []  # (d, first factor, end)
-        start = 0
+        self.tables = []  # (shift, mask, _block_table) per block
+        shift = bias = guard = top = 0
         for d, run in groupby(sigma):
-            end = start + len(list(run))
-            self.blocks.append((d, start, end))
-            start = end
+            m, width, start = len(list(run)), d.bit_length() + 1, len(self.fields)
+            self.blocks.append((d, start, start + m))
+            self.tables.append((shift, (1 << width * m) - 1, _block_table(d, m)))
+            for _ in range(m):
+                self.fields.append((shift, (1 << width) - 1))
+                # the digit a + b + bias reaches the guard bit iff a + b > d
+                bias |= ((1 << width - 1) - 1 - d) << shift
+                guard |= 1 << shift + width - 1
+                top |= d << shift
+                shift += width
+        self.bias, self.guard, self.top = bias, guard, top
         # with distinct parts every orbit is one monomial of size 1
         self.symmetric = len(self.blocks) < len(sigma)
         self.canonical = _Memo(self._canonical)
-        self.sizes = _Memo(self._size)
         self.members = _Memo(self._members)
-        self.raises = _Memo(self._raises)
         self.c1 = self.power_sum(1)
 
     def _pack(self, exponents: Iterable[int]) -> int:
@@ -310,31 +309,10 @@ class _OrbitRing:
             exponents[start:end] = sorted(exponents[start:end])
         return self._pack(exponents)
 
-    def _size(self, key: int) -> int:
-        exponents, size = self._unpack(key), 1
-        for _, start, end in self.blocks:
-            size *= factorial(end - start)
-            for _, run in groupby(exponents[start:end]):
-                size //= factorial(len(list(run)))
-        return size
-
     def _members(self, key: int) -> list[int]:
         exponents = self._unpack(key)
         blocks = [_rearrangements(exponents[start:end]) for _, start, end in self.blocks]
         return [self._pack(sum(pieces, ())) for pieces in product(*blocks)]
-
-    def _raises(self, key: int) -> list[tuple[int, int]]:
-        # c_1 = sum (d + 1) u_i raises one exponent v < d of a block by 1.
-        # Raising its last v keeps the block ascending, and any of the
-        # v + 1 of the target could have been the raised one.
-        exponents, raises = self._unpack(key), []
-        for d, start, end in self.blocks:
-            block = exponents[start:end]
-            for i, v in enumerate(block):
-                if v < d and (i + 1 == len(block) or block[i + 1] > v):
-                    unit = 1 << self.fields[start + i][0]
-                    raises.append((key + unit, (d + 1) * (block.count(v + 1) + 1)))
-        return raises
 
     def keys(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Every orbit, with its representative's exponents in sigma's order."""
@@ -348,11 +326,8 @@ class _OrbitRing:
         return {j << self.fields[end - 1][0]: d + 1 for d, _, end in self.blocks if j <= d}
 
     def chern_classes(self) -> list[dict[int, int]]:
-        """``[c_1(N), ..., c_{n-1}(N)]`` by ``c_j(N) = c_j(V) - c_1 c_{j-1}(N)``.
-
-        A monomial ``u^e`` of ``c(V) = prod (1 + u_i)^{d_i + 1}`` carries
-        ``prod C(d_i + 1, e_i)``.
-        """
+        """``[c_1(N), ..., c_{n-1}(N)]`` by ``c_j(N) = c_j(V) - c_1 c_{j-1}(N)``; a monomial
+        ``u^e`` of ``c(V) = prod (1 + u_i)^{d_i + 1}`` carries ``prod C(d_i + 1, e_i)``."""
         caps = [d + 1 for d in self.sigma]
         total: list[dict[int, int]] = [{} for _ in range(self.n)]
         for key, exponents in self.keys():
@@ -367,25 +342,29 @@ class _OrbitRing:
             classes.append({key: coeff for key, coeff in out.items() if coeff})
         return classes[1:]
 
+    def size(self, key: int) -> int:
+        """The number of monomials in the orbit of ``key``."""
+        size = 1
+        for shift, mask, table in self.tables:
+            size *= table[key >> shift & mask][1]
+        return size
+
     def times_c1(self, x: dict[int, int]) -> dict[int, int]:
-        """``c_1 x``, one exponent raised per term of ``c_1``."""
-        if not self.symmetric:
-            # each monomial is met about once, so the packed product beats
-            # building and keeping a raise list per monomial
-            return self.mul(x, self.c1)
+        """``c_1 x``, one exponent raised per term of ``c_1``, read from the block tables."""
         out: dict[int, int] = {}
-        raises = self.raises
         for key, coeff in x.items():
-            for target, c in raises[key]:
-                out[target] = out.get(target, 0) + c * coeff
+            for shift, mask, table in self.tables:
+                for unit, c in table[key >> shift & mask][0]:
+                    target = key + (unit << shift)
+                    out[target] = out.get(target, 0) + c * coeff
         return {key: coeff for key, coeff in out.items() if coeff}
 
     def mul(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """``x y``: each orbit of x times every monomial of y, the cheaper way round."""
         bias, guard, symmetric = self.bias, self.guard, self.symmetric
-        sizes, canonical = self.sizes, self.canonical
+        size, canonical = self.size, self.canonical
         if symmetric:
-            if len(x) * sum(map(sizes.__getitem__, y)) > len(y) * sum(map(sizes.__getitem__, x)):
+            if len(x) * sum(map(size, y)) > len(y) * sum(map(size, x)):
                 x, y = y, x
             ys = [(b, cb) for key, cb in y.items() for b in self.members[key]]
         else:
@@ -393,7 +372,7 @@ class _OrbitRing:
         out: dict[int, int] = {}
         for a, ca in x.items():
             if symmetric:
-                ca *= sizes[a]
+                ca *= size(a)
             a += bias
             for b, cb in ys:
                 t = a + b
@@ -404,25 +383,31 @@ class _OrbitRing:
                     t = canonical[t]
                 out[t] = out.get(t, 0) + ca * cb
         if symmetric:
-            return {t: c // sizes[t] for t, c in out.items() if c}
+            return {t: c // size(t) for t, c in out.items() if c}
         return {t: c for t, c in out.items() if c}
 
     def pair(self, x: dict[int, int], y: dict[int, int]) -> int:
-        """``<x y, [V]>`` as ``sum |O| x_O y_{top - O}`` over the orbits O of x."""
+        """``<x y, [V]>`` as ``sum |O| x_O y_O'`` over the orbits O of x, O' the complement of O."""
         if len(y) < len(x):
             x, y = y, x
-        get, top = y.get, self.top
-        if not self.symmetric:
-            return sum(coeff * get(top - key, 0) for key, coeff in x.items())
-        canonical, sizes = self.canonical, self.sizes
-        return sum(sizes[key] * coeff * get(canonical[top - key], 0) for key, coeff in x.items())
+        get = y.get
+        if not self.symmetric:  # every orbit is one monomial, its complement top - key
+            return sum(coeff * get(self.top - key, 0) for key, coeff in x.items())
+        total = 0
+        for key, coeff in x.items():
+            complement = 0
+            for shift, mask, table in self.tables:
+                _, size, rest = table[key >> shift & mask]
+                coeff *= size
+                complement |= rest << shift
+            total += coeff * get(complement, 0)
+        return total
 
 
 def _check_ring_cost(sigma: Partition) -> None:
-    # Pre-flight refusal, before any ring arithmetic, shared by every
-    # hypersurface evaluator: n < 2 has no hypersurface to evaluate, and a
-    # huge part or many parts would otherwise run for hours (or, for a
-    # 20-digit part, never end).
+    # Pre-flight refusal, before any ring arithmetic, shared by every evaluator:
+    # n < 2 has no hypersurface, and a huge part or many parts would otherwise
+    # run for hours (or, for a 20-digit part, never end).
     if sigma.n < 2:
         raise ValueError(f"need a partition of n >= 2, got {sigma}")
     sizes = (*(d + 1 for d in sigma), sigma.n)
@@ -432,24 +417,41 @@ def _check_ring_cost(sigma: Partition) -> None:
 def hypersurface_s_number(sigma: Partition | Iterable[int]) -> int:
     """s-number of the anticanonical Calabi-Yau hypersurface indexed by sigma.
 
-    For ``N`` dual to ``c_1`` inside ``V``, the normal bundle of the
-    embedding is the restriction of the anticanonical line bundle, so
-    ``s_{n-1}(N)`` pushes forward to
-    ``< s_{n-1}(V) c_1(V) - c_1(V)^n , [V] >``, evaluated here purely by
-    ring arithmetic in the orbit basis of :class:`_OrbitRing`, with
-    ``<c_1^n, [V]>`` paired as ``c_1^a`` times ``c_1^{n - a}``,
-    ``a = ceil(n / 2)``.  Raises ``ValueError`` when ``n < 2`` or when
-    ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
+    For ``N`` dual to ``c_1`` inside ``V``, the normal bundle of the embedding
+    is the restriction of the anticanonical line bundle, so ``s_{n-1}(N)``
+    pushes forward to ``< s_{n-1}(V) c_1(V) - c_1(V)^n , [V] >``, evaluated in
+    the orbit basis of :class:`_OrbitRing` with ``<c_1^n, [V]>`` paired as
+    ``c_1^a`` times ``c_1^{n - a}``, ``a = ceil(n / 2)``.  Raises ``ValueError``
+    when ``n < 2`` or ``prod(d_i + 1) * n`` exceeds :data:`RING_COST_BUDGET`.
     """
     sigma = Partition(sigma)
     _check_ring_cost(sigma)
     ring = _OrbitRing(sigma)
-    n = ring.n
-    c1 = ring.c1
+    n, c1 = ring.n, ring.c1
     powers = [c1]  # c_1^1, ..., c_1^{ceil(n / 2)}
     while len(powers) < n - n // 2:
         powers.append(ring.times_c1(powers[-1]))
     return ring.pair(ring.power_sum(n - 1), c1) - ring.pair(powers[-1], powers[n // 2 - 1])
+
+
+AlphaRow = namedtuple("AlphaRow", "partition multinomial alpha s_number match")
+AlphaReport = namedtuple("AlphaReport", "n rows passed")
+
+
+def verify_alpha(n: int) -> AlphaReport:
+    """Each capped partition of n, with its multinomial, its weighted multinomial
+    ``alpha``, its ring s-number, and whether that is ``-alpha``.  An ``n`` over
+    :data:`ALPHA_MAX_N`, or whose all-ones partition (the costliest ring, as
+    ``prod(d_i + 1) <= 2**n``) is over the ring budget, is refused first."""
+    if n > ALPHA_MAX_N:
+        raise ValueError(f"need n <= {ALPHA_MAX_N} (the alpha budget), got {n}")
+    if n >= 3:
+        _check_ring_cost(Partition([1] * n))
+    rows = []
+    for sigma in generator_partitions(n):
+        alpha, s_number = weighted_multinomial(sigma), hypersurface_s_number(sigma)
+        rows.append(AlphaRow(sigma, multinomial(sigma), alpha, s_number, s_number == -alpha))
+    return AlphaReport(n, tuple(rows), all(row.match for row in rows))
 
 
 def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partition, int]:
@@ -496,10 +498,8 @@ def hypersurface_chern_numbers(sigma: Partition | Iterable[int]) -> dict[Partiti
 
 
 def hypersurface_euler_characteristic(sigma: Partition | Iterable[int]) -> int:
-    """Euler characteristic of the hypersurface: its top Chern number.
-
-    Refuses the inputs :func:`hypersurface_s_number` refuses.
-    """
+    """Euler characteristic of the hypersurface, its top Chern number; refuses the
+    inputs :func:`hypersurface_s_number` refuses."""
     sigma = Partition(sigma)
     _check_ring_cost(sigma)
     ring = _OrbitRing(sigma)

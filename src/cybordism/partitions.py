@@ -37,7 +37,7 @@ class Partition(tuple):
         if not ordered:
             raise ValueError("a partition needs at least one part")
         for part in ordered:
-            if not isinstance(part, int) or part < 1:
+            if not isinstance(part, int) or isinstance(part, bool) or part < 1:
                 raise ValueError(f"parts must be positive integers, got {ordered}")
         return super().__new__(cls, ordered)
 

@@ -98,11 +98,12 @@ def test_criterion_2_s_number_goldens():
 @criterion(3, "cohomology route equals negated weighted multinomial")
 def test_criterion_3_oracle_equivalence():
     cases = 0
-    for n in range(3, 13):
+    # every capped partition the ring budget admits: (1,)*16 is in, (1,)*17 is not
+    for n in range(3, 17):
         for sigma in generator_partitions(n):
             assert hypersurface_s_number(sigma) == -weighted_multinomial(sigma), sigma
             cases += 1
-    assert cases == 248  # hundreds of exact comparisons
+    assert cases == 883  # hundreds of exact comparisons
 
 
 @criterion(4, "gcd identity with case attribution, n <= 400")

@@ -10,6 +10,7 @@ import oracles
 from cybordism.cohomology import (
     ProjectiveProduct,
     TruncatedPolynomial,
+    _block_table,
     _check_ring_cost,
     _OrbitRing,
     chern_total,
@@ -18,6 +19,7 @@ from cybordism.cohomology import (
     hypersurface_euler_characteristic,
     hypersurface_s_number,
     power_sum_direct,
+    verify_alpha,
 )
 from cybordism.partitions import Partition, enumerate_partitions, weighted_multinomial
 
@@ -127,6 +129,24 @@ def test_ring_cost_budget():
     for sigma in ((60,), (1,) * 13):
         with pytest.raises(ValueError, match="Chern-table budget"):
             hypersurface_chern_numbers(sigma)
+
+
+def test_verify_alpha_refuses_before_any_ring_work():
+    report = verify_alpha(4)
+    assert [(row.partition.label, row.alpha, row.s_number) for row in report.rows] == [
+        ("2,2", 486, -486), ("1,1,2", 432, -432), ("1,1,1,1", 384, -384)
+    ]
+    assert report.passed and all(row.match for row in report.rows)
+    _block_table.cache_clear()
+    # the all-ones partition is over the ring budget from 17 on; past ALPHA_MAX_N
+    # it is not even built
+    refused = {17: "ring cost budget", 100: "ring cost budget", 101: "alpha budget", 10**10: "alpha budget"}
+    for n, budget in refused.items():
+        with pytest.raises(ValueError, match=budget):
+            verify_alpha(n)
+    assert _block_table.cache_info().currsize == 0  # no ring was built
+    with pytest.raises(ValueError, match="need n >= 3"):
+        verify_alpha(2)
 
 
 def test_s_number_equals_negated_weighted_multinomial():
@@ -314,6 +334,52 @@ def test_orbit_product_matches_dense_product(case):
     c1 = dense_x.space.first_chern_class()
     assert oracles.expand(ring, ring.times_c1(x)) == dense_x * c1
     assert oracles.expand(ring, ring.c1) == c1
+
+
+def test_block_tables_match_dense_products_at_every_offset():
+    # Each (d, m) table is built in the first ring that has the block and
+    # reused, at another bit offset, in a later one: where no partition of
+    # n <= 8 puts the block behind a larger part, (d + 1, d, ..., d) does.
+    def record(ring, offsets):
+        for (d, start, end), (shift, _, _) in zip(ring.blocks, ring.tables):
+            offsets.setdefault((d, end - start), []).append(shift)
+
+    shapes = [sigma for n in range(2, 9) for sigma in enumerate_partitions(n)]
+    first: dict[tuple[int, int], list[int]] = {}
+    for sigma in shapes:
+        record(_OrbitRing(sigma), first)
+    shapes += [Partition((d + 1,) + (d,) * m) for (d, m), seen in first.items() if len(set(seen)) == 1]
+    _block_table.cache_clear()
+    offsets: dict[tuple[int, int], list[int]] = {}
+    for sigma in shapes:
+        ring = _OrbitRing(sigma)
+        record(ring, offsets)
+        keys = [key for key, _ in ring.keys()]
+        generic = {key: i + 1 for i, key in enumerate(keys)}
+        dense_generic = oracles.expand(ring, generic)
+        c1 = dense_generic.space.first_chern_class()
+        for key in keys:
+            dense = oracles.expand(ring, {key: 1})
+            assert oracles.expand(ring, ring.times_c1({key: 1})) == dense * c1, (sigma, key)
+            assert ring.pair({key: 1}, generic) == oracles.pair(dense, dense_generic), (sigma, key)
+        assert ring.pair(generic, generic) == oracles.pair(dense_generic, dense_generic), sigma
+        power, dense_power = ring.c1, c1
+        for _ in range(ring.n):
+            assert oracles.expand(ring, power) == dense_power, sigma
+            assert ring.pair(power, ring.c1) == oracles.pair(dense_power, c1), sigma
+            power, dense_power = ring.times_c1(power), dense_power * c1
+    # one build per table, and every table reused at an offset other than its first
+    assert _block_table.cache_info().misses == len(offsets)
+    assert all(len(set(offsets[table])) > 1 for table in first), offsets
+
+
+def test_s_numbers_do_not_depend_on_which_ring_built_the_tables():
+    shapes = [sigma for n in range(2, 13) for sigma in enumerate_partitions(n)]
+    before = [hypersurface_s_number(sigma) for sigma in shapes]
+    _block_table.cache_clear()
+    # rebuilt in the reverse order, so most tables are first built in another ring
+    after = [hypersurface_s_number(sigma) for sigma in reversed(shapes)]
+    assert after[::-1] == before
 
 
 @settings(max_examples=40)

@@ -39,3 +39,11 @@ def test_certificate_jobs_are_byte_identical(n, capsys):
     expected = (DATA / f"certificate-{n}.out").read_text(encoding="utf-8")
     assert run(["certificate", "--n", str(n)]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt, suffix", [("json", "out"), ("csv", "csv")])
+def test_alpha_job_is_byte_identical(fmt, suffix, capsys):
+    # the ring workload's alpha job, as the per-key orbit memos printed it
+    expected = (DATA / f"alpha-12.{suffix}").read_text(encoding="utf-8")
+    assert run(["alpha", "--n", "12", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected

@@ -69,6 +69,13 @@ def test_partition_rejects_bad_parts():
         Partition([-2])
 
 
+def test_partition_refuses_bool_and_float_parts():
+    # bool is an int subclass: True would pass as a part 1 and print as "True"
+    for parts in ([True, 2], [False], [True], [2.0]):
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            Partition(parts)
+
+
 def test_parse_partition():
     assert parse_partition("1,1,3") == Partition([3, 1, 1])
     # the words parse_ks reads in a matrix row: blanks around them and any decimal digits
