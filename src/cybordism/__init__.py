@@ -22,9 +22,12 @@ _EXPORTS = {
     name: module
     for module, names in {
         "cohomology": (
-            "ProjectiveProduct", "TruncatedPolynomial", "chern_total", "fundamental_pairing",
             "hypersurface_chern_numbers", "hypersurface_euler_characteristic",
-            "hypersurface_s_number", "power_sum_direct", "verify_alpha",
+            "hypersurface_s_number", "verify_alpha",
+        ),
+        "dense": (
+            "ProjectiveProduct", "TruncatedPolynomial", "chern_total", "fundamental_pairing",
+            "power_sum_direct",
         ),
         "generators": (
             "GeneratorCertificate", "certificate", "low_dimension_table",

@@ -28,8 +28,9 @@ if TYPE_CHECKING:
     from . import toricdata
     from .partitions import Partition
 
-# Largest accepted --max of the per-n loops: gn at 10^5 takes about 2 s and
-# 131 MB, power-check at 400 about 1.3 s and 50 MB (2-core VM).
+# Largest accepted --max of the per-n loops.  As commands, gn at 10^5 takes
+# 1.0-1.3 s and 66 MB, power-check at 400 0.65-0.83 s and 45 MB (peak RSS;
+# three runs each on a 2-core VM, Python 3.11).
 GN_MAX = 100_000
 POWER_CHECK_MAX = 400
 # ks record rows per write: few system calls even when stdout is unbuffered
@@ -265,9 +266,38 @@ _OPTIONS = {
 }
 
 
+_TABLE, _STREAM, _JSON = ("json", "csv"), ("json", "jsonl"), ("json",)
+# Each leaf, declared once: (command words, handler, --format choices, options).
+# The handler's docstring is the leaf's help; --format offers only what it prints.
+_LEAVES = (
+    (("gn",), _cmd_gn, _TABLE, ("--max",)),
+    (("alpha",), _cmd_alpha, _TABLE, ("--n",)),
+    (("gcd",), _cmd_gcd, _TABLE, ("--max", "--jobs")),
+    (("certificate",), _cmd_certificate, _JSON, ("--n",)),
+    (("s-number",), _cmd_s_number, _JSON, ("--partition",)),
+    (("chern",), _cmd_chern, _TABLE, ("--partition",)),
+    (("power-check",), _cmd_power_check, _TABLE, ("--max", "--jobs")),
+    (("polytope",), _cmd_polytope, _JSON, ("--partition",)),
+    (("ks", "parse"), _cmd_ks_parse, _STREAM, ("--input", "--strict")),
+    (("ks", "filter"), _cmd_ks_filter, _STREAM, ("--input", "--strict", "--target")),
+    (("ks", "ranges"), _cmd_ks_ranges, _JSON, ("--input", "--strict")),
+)
+# the help of each command word that groups leaves
+_GROUPS = {"ks": "Hodge-number record pipeline"}
+PROG = "cybordism"
+
+
+def _fill(leaf: argparse.ArgumentParser, handler: Callable, formats: tuple[str, ...], options) -> None:
+    leaf.set_defaults(handler=handler)
+    for option in options:
+        leaf.add_argument(option, **_OPTIONS[option])
+    leaf.add_argument("--format", choices=formats, default="json", help="output format")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, as help and usage errors show it."""
     parser = argparse.ArgumentParser(
-        prog="cybordism",
+        prog=PROG,
         description=(
             "Exact s-numbers and Chern numbers of Calabi-Yau hypersurfaces in "
             "products of projective spaces, gcd verification and integer "
@@ -275,31 +305,34 @@ def build_parser() -> argparse.ArgumentParser:
             "construction, and Hodge-number record filtering."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(group, name: str, handler: Callable, formats: tuple[str, ...], *options: str) -> None:
-        # the handler's docstring is the leaf's help; --format offers only what it prints
-        leaf = group.add_parser(name, help=handler.__doc__)
-        leaf.set_defaults(handler=handler)
-        for option in options:
-            leaf.add_argument(option, **_OPTIONS[option])
-        leaf.add_argument("--format", choices=formats, default="json", help="output format")
-
-    table, stream, json_only = ("json", "csv"), ("json", "jsonl"), ("json",)
-    add(sub, "gn", _cmd_gn, table, "--max")
-    add(sub, "alpha", _cmd_alpha, table, "--n")
-    add(sub, "gcd", _cmd_gcd, table, "--max", "--jobs")
-    add(sub, "certificate", _cmd_certificate, json_only, "--n")
-    add(sub, "s-number", _cmd_s_number, json_only, "--partition")
-    add(sub, "chern", _cmd_chern, table, "--partition")
-    add(sub, "power-check", _cmd_power_check, table, "--max", "--jobs")
-    add(sub, "polytope", _cmd_polytope, json_only, "--partition")
-    ks = sub.add_parser("ks", help="Hodge-number record pipeline")
-    ks_sub = ks.add_subparsers(dest="ks_command", required=True)
-    add(ks_sub, "parse", _cmd_ks_parse, stream, "--input", "--strict")
-    add(ks_sub, "filter", _cmd_ks_filter, stream, "--input", "--strict", "--target")
-    add(ks_sub, "ranges", _cmd_ks_ranges, json_only, "--input", "--strict")
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, handler, formats, options in _LEAVES:
+        *group, name = words
+        if tuple(group) not in groups:
+            sub = groups[()].add_parser(group[0], help=_GROUPS[group[0]])
+            groups[tuple(group)] = sub.add_subparsers(dest=f"{group[0]}_command", required=True)
+        _fill(groups[tuple(group)].add_parser(name, help=handler.__doc__), handler, formats, options)
     return parser
+
+
+def parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the leaf that argv names.
+
+    The full tree hands a leaf's parser every word after the leaf's command
+    words, so when argv begins with them that parser alone is built, as the
+    tree builds it, and its help and usage errors are the tree's.  A word it
+    leaves over is an error of the whole tree, as is an argv that names no
+    leaf: both go to the full parser, which reports them.
+    """
+    for words, handler, formats, options in _LEAVES:
+        if tuple(argv[: len(words)]) == words:
+            leaf = argparse.ArgumentParser(prog=" ".join((PROG, *words)))
+            _fill(leaf, handler, formats, options)
+            args, extra = leaf.parse_known_args(argv[len(words) :])
+            if not extra:
+                return args
+            break
+    return build_parser().parse_args(argv)
 
 
 def _render_csv(rows: list[dict]) -> str:
@@ -387,10 +420,8 @@ def _parameters(args: argparse.Namespace) -> dict:
 
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; prints the report and returns the exit code."""
-    args = build_parser().parse_args(argv)
-    command = args.command
-    if command == "ks":
-        command = f"ks-{args.ks_command}"
+    args = parse(argv)
+    command = next("-".join(words) for words, handler, *_ in _LEAVES if handler is args.handler)
     rows: list[str] = []  # JSON ks record rows, a chunk of text each
     try:
         results, status = args.handler(args)
@@ -427,6 +458,8 @@ def main() -> None:
     # file can take part of a long write to a pipe whose reader has gone and report
     # no error, where a BufferedWriter writes the rest, and that write raises
     stdout = sys.stdout
+    if stdout is None:  # started with fd 1 closed: as if the reader had gone at once
+        sys.exit(1)
     sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
         code = run(sys.argv[1:])

@@ -12,14 +12,20 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from functools import cache
 
-from .numthy import (
-    _valuation,
-    factorial_valuation,
-    p_adic_digits,
-    prime_power,
-    primes_upto,
-)
+
+@cache
+def _numthy():
+    # numthy, imported by the first function here that needs it, so that the
+    # commands that never call one (s-number, chern, alpha, polytope) start up
+    # without compiling it.  Those functions read numthy's attributes as they
+    # run, so a rebinding of one is seen.  An import statement in each of them
+    # costs about 2.7 us a call, which made power_check(n) for every n <= 400
+    # about a fifth slower; this cached call costs a tenth of that.
+    from . import numthy
+
+    return numthy
 
 
 class Partition(tuple):
@@ -195,6 +201,7 @@ def multinomial_valuation(p: int, sigma: Iterable[int]) -> int:
     Computed from factorial valuations, which keeps full scans over all
     partitions of n cheap: no big integers are materialised.
     """
+    factorial_valuation = _numthy().factorial_valuation
     total = factorial_valuation(p, sum(sigma))
     for part in sigma:
         total -= factorial_valuation(p, part)
@@ -205,7 +212,9 @@ def _weighted_part_valuations(p: int, top: int) -> list[int]:
     # Entry m (0 <= m <= top) is what one part m adds to the exponent of
     # p in a weighted multinomial beyond v_p(n!): m*v_p(m+1) - v_p(m!).
     # ``p`` must be prime; callers check it.
-    return [m * _valuation(p, m + 1) - factorial_valuation(p, m) for m in range(top + 1)]
+    numthy = _numthy()
+    valuation, factorial_valuation = numthy._valuation, numthy.factorial_valuation
+    return [m * valuation(p, m + 1) - factorial_valuation(p, m) for m in range(top + 1)]
 
 
 def _capped_minima(cost: list[int]) -> list[int | None]:
@@ -247,7 +256,7 @@ def digit_partition(n: int, p: int) -> Partition:
     """
     parts: list[int] = []
     power = 1
-    for digit in p_adic_digits(n, p):
+    for digit in _numthy().p_adic_digits(n, p):
         parts.extend([power] * digit)
         power *= p
     return Partition(parts)
@@ -255,7 +264,7 @@ def digit_partition(n: int, p: int) -> Partition:
 
 def split_prime_power(n: int, p: int) -> Partition:
     """For ``n = p**s``, the partition of ``n`` into ``p`` copies of ``p**(s-1)``."""
-    pp = prime_power(n)
+    pp = _numthy().prime_power(n)
     if pp is None or pp[0] != p:
         raise ValueError(f"{n} is not a power of {p}")
     _, s = pp
@@ -264,7 +273,7 @@ def split_prime_power(n: int, p: int) -> Partition:
 
 def split_prime_power_successor(n: int, q: int) -> Partition:
     """For ``n = q**r + 1``, the partition into ``q`` copies of ``q**(r-1)`` and a 1."""
-    pp = prime_power(n - 1)
+    pp = _numthy().prime_power(n - 1)
     if pp is None or pp[0] != q:
         raise ValueError(f"{n} - 1 is not a power of {q}")
     _, r = pp
@@ -318,10 +327,11 @@ def power_check(n: int) -> DivisibilityReport:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    power = prime_power(n)
-    successor = prime_power(n - 1)
+    numthy = _numthy()
+    power = numthy.prime_power(n)
+    successor = numthy.prime_power(n - 1)
     entries: list[DivisibilityEntry] = []
-    for p in primes_upto(n):
+    for p in numthy.primes_upto(n):
         if power and power[0] == p:
             kind, witness = "power", split_prime_power(n, p)
         elif successor and successor[0] == p:
@@ -333,8 +343,8 @@ def power_check(n: int) -> DivisibilityReport:
             scan_min, ok = None, val == 0
         else:
             # least v_p(n!) - sum v_p(part!) over the capped partitions
-            scan_min = factorial_valuation(p, n) + _capped_minima(
-                [-factorial_valuation(p, m) for m in range(n - 1)]
+            scan_min = numthy.factorial_valuation(p, n) + _capped_minima(
+                [-numthy.factorial_valuation(p, m) for m in range(n - 1)]
             )[n]
             ok = scan_min >= 1 and val == 1
         entries.append(

@@ -201,16 +201,28 @@ def test_package_import_loads_no_submodule():
 
 def test_commands_load_only_the_modules_they_use():
     def loaded(argv):
-        return probe(f"import json, sys\nfrom cybordism import cli\ncli.run({argv!r})\n{LOADED}")
+        code = f"import json, sys\nfrom cybordism import cli\ncli.run({argv!r})\n{LOADED}"
+        return [name.removeprefix("cybordism.") for name in probe(code)]
 
-    assert loaded(["gn", "--max", "3"]) == ["cybordism.cli", "cybordism.numthy"]
-    # generators imports cohomology only to re-verify certificates
-    gcd = loaded(["gcd", "--max", "6"])
-    assert gcd == ["cybordism.cli", "cybordism.generators", "cybordism.numthy", "cybordism.partitions"]
-    # toricdata imports partitions (and so numthy) only to build polytopes
-    assert loaded(["ks", "ranges", "--input", SAMPLE]) == ["cybordism.cli", "cybordism.toricdata"]
-    polytope = loaded(["polytope", "--partition", "1,2"])
-    assert polytope == ["cybordism.cli", "cybordism.numthy", "cybordism.partitions", "cybordism.toricdata"]
+    ring, ks = ["cli", "cohomology", "partitions"], ["cli", "toricdata"]
+    expected = {
+        "gn": ["cli", "numthy"],
+        # generators imports cohomology only to re-verify certificates
+        "gcd": ["cli", "generators", "numthy", "partitions"],
+        "power-check": ["cli", "numthy", "partitions"],
+        "certificate": ["cli", "cohomology", "generators", "numthy", "partitions"],
+        # partitions imports numthy only when a function that uses it runs
+        "alpha": ring,
+        "s-number": ring,
+        "chern": ring,
+        # toricdata imports partitions only to build polytopes
+        "polytope": ["cli", "partitions", "toricdata"],
+        "ks-parse": ks,
+        "ks-filter": ks,
+        "ks-ranges": ks,
+    }
+    # no command loads the dense model
+    assert {_command(argv): loaded(argv) for argv in SMOKE} == expected
 
 
 # the smallest run of each subcommand, as in the benchmark's smoke jobs
@@ -752,24 +764,38 @@ def cli_argv(draw):
     if fmt is not None:
         argv += ["--format", fmt]
     if draw(st.integers(0, 9)) == 9:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["stray", "--bogus", "--n"])))
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["stray", "--bogus", "--n", "--"])))
     return argv, fmt
+
+
+def outcome(call, argv):
+    """``call(argv)``'s result, or its exit code, with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def tree_options(argv):
+    """The options the full parser reads from argv, without its command-word dests."""
+    args = vars(cli.build_parser().parse_args(argv))
+    return {key: value for key, value in args.items() if key not in ("command", "ks_command")}
 
 
 @settings(max_examples=200, deadline=None)
 @given(cli_argv())
 def test_any_argv_ends_in_exit_2_or_an_envelope(drawn):
     argv, fmt = drawn
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
-    text = out.getvalue()
+    code, text, err = outcome(run, argv)
     if code == 2:
         assert text == "", argv
+        # the usage error is the full parser's, word for word
+        assert (code, text, err) == outcome(tree_options, argv), argv
         return
+    assert vars(cli.parse(argv)) == tree_options(argv), argv
     assert code in (0, 1), argv
     if fmt in ("csv", "jsonl") and not text.startswith("{\n"):
         # an accepted csv or jsonl run prints its rows, not an envelope
@@ -781,6 +807,50 @@ def test_any_argv_ends_in_exit_2_or_an_envelope(drawn):
     doc = json.loads(text)
     assert set(doc) == {"command", "parameters", "results", "status"}, argv
     assert code == (0 if doc["status"] == "pass" else 1), argv
+
+
+def _usage_cases():
+    """Per leaf: help, a missing option, a bad value, an abbreviation, an unknown option,
+    a stray word and ``--``; then argv that name no leaf."""
+    for argv in SMOKE:
+        words = argv[: 2 if argv[0] == "ks" else 1]
+        yield argv
+        yield argv + ["-h"]
+        yield words + ["--help"]
+        yield words
+        yield words + argv[len(words) + 2 :]  # the first option left out
+        yield argv + ["--format", "xml"]
+        yield argv + ["--format"]
+        yield argv + ["--form", "json"]
+        yield [word[:4] if word.startswith("--") else word for word in argv]
+        yield argv + ["--bogus"]
+        yield argv + ["--bogus=1"]
+        yield argv + ["extra"]
+        yield words + ["extra"] + argv[len(words) :]
+        yield argv + ["--"]
+        yield argv + ["--", "extra"]
+        yield words + ["--"] + argv[len(words) :]
+        for index, word in enumerate(argv):
+            if word in ("--max", "--n", "--jobs", "--target"):
+                yield argv[: index + 1] + ["x"] + argv[index + 2 :]
+                yield argv[: index + 1] + ["5000"] + argv[index + 2 :]
+    yield from (
+        [], ["-h"], ["--help"], ["ks"], ["ks", "-h"], ["ks", "--help"], ["bogus"], ["ks", "bogus"],
+        ["-h", "gn"], ["--", "gn", "--max", "3"], ["GN", "--max", "3"], ["gn=3"], ["ks", "--", "parse"],
+        ["ks", "parse"], ["--bogus", "gn", "--max", "3"],
+    )
+
+
+def test_leaf_parser_reads_every_argv_as_the_full_parser_does():
+    # run builds only the leaf its argv names; help, usage errors and options stay the tree's
+    exits = []
+    for argv in _usage_cases():
+        expected = outcome(tree_options, argv)
+        assert outcome(lambda a: vars(cli.parse(a)), argv) == expected, argv
+        if isinstance(expected[0], int):  # an exit: run prints what the tree prints
+            assert outcome(run, argv) == expected, argv
+            exits.append(expected[0])
+    assert len(exits) > 150 and set(exits) == {0, 2}
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -798,6 +868,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert child.wait(timeout=60) == 1
     assert child.stderr.read() == b""
     child.stderr.close()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through a POSIX shell")
+def test_stdout_closed_at_start_exits_1_without_a_traceback():
+    # with fd 1 closed before exec, Python starts with sys.stdout None
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "cybordism", "gn", "--max", "3"]
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], capture_output=True, env=env)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_module_entry_point_end_to_end():
