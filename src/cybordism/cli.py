@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain
 
 # Each handler imports the library modules it uses when it runs, so a
 # command starts up with only those; here they are imported for type
@@ -39,7 +39,7 @@ JSONL_CHUNK = 4096
 # Each handler returns ``(results, status)`` for :func:`run` to print; status
 # is "pass", "fail" or "partial".  The csv of a table command is ``results["rows"]``
 # in the key order of its dicts.  ``ks parse`` and ``filter`` return their records
-# as an iterator and their status as a callable, asked once run has rendered them.
+# as an iterator of runs and their status as a callable, asked once run has rendered them.
 
 
 def _per_n(top: int, budget: int, name: str) -> range:
@@ -184,20 +184,21 @@ def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if report.ok else "fail"
 
 
-def _read_ks(args: argparse.Namespace, errors: list, counts: dict, key: str) -> Iterator:
-    """The input's records as they are parsed, counted under ``key`` and "inconsistent";
-    the error rows go to ``errors``, and their number to ``counts`` at the end."""
+def _read_ks(args: argparse.Namespace, errors: list, counts: dict, key: str, usable: bool = False) -> Iterator[list]:
+    """The input's records a run at a time, counted under ``key``; with ``usable`` only the consistent
+    ones, the others counted as "inconsistent".  Error rows go to ``errors``, their number to ``counts``."""
     from . import toricdata
 
-    source = nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8")
-    with source as handle:
-        for item in toricdata.parse_ks(handle, strict=args.strict):
-            if isinstance(item, toricdata.KSParseError):
-                errors.append({"line": item.line, "message": item.message})
-                continue
-            counts[key] += 1
-            counts["inconsistent"] += not item.consistent
-            yield item
+    record = toricdata.KSRecord
+    with nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8") as handle:
+        for run in toricdata._runs(handle, args.strict):
+            records = [item for item in run if type(item) is record]
+            errors += [{"line": e.line, "message": e.message} for e in run if type(e) is not record]
+            counts[key] += len(records)
+            if usable:
+                run, records = records, [r for r in records if r.consistent]
+                counts["inconsistent"] += len(run) - len(records)
+            yield records
     counts["errors"] = len(errors)
 
 
@@ -209,8 +210,7 @@ def _ks_status(counts: dict, key: str) -> str:
 def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
     """parse records, reporting positioned errors"""
     errors, counts = [], {"records": 0, "inconsistent": 0}
-    records = _read_ks(args, errors, counts, "records")
-    results = {"records": records, "errors": errors, "counts": counts}
+    results = {"records": _read_ks(args, errors, counts, "records"), "errors": errors, "counts": counts}
     return results, partial(_ks_status, counts, "records")
 
 
@@ -219,20 +219,16 @@ def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
     from . import toricdata
 
     counts = {"parsed": 0, "inconsistent": 0, "kept": 0}
-    usable = (record for record in _read_ks(args, [], counts, "parsed") if record.consistent)
-    kept = toricdata.filter_hodge_difference(usable, args.target)
-    records = (record for counts["kept"], record in enumerate(kept, 1))  # counted as they pass
+    usable = _read_ks(args, [], counts, "parsed", usable=True)
+    kept = ([*toricdata.filter_hodge_difference(run, args.target)] for run in usable)
+    records = (run for run in kept for counts["kept"] in [counts["kept"] + len(run)])  # counted as they pass
     results = {"target": args.target, "records": records, "counts": counts}
     return results, partial(_ks_status, counts, "parsed")
 
 
 def _side_dict(side: toricdata.RangeSide) -> dict:
-    return {
-        **side._asdict(),
-        "h11_min": side.h11_min,
-        "h11_max": side.h11_max,
-        "out_of_range": [{"line": line, "h11": h11} for line, h11 in side.out_of_range],
-    }
+    flagged = [{"line": line, "h11": h11} for line, h11 in side.out_of_range]
+    return {**side._asdict(), "h11_min": side.h11_min, "h11_max": side.h11_max, "out_of_range": flagged}
 
 
 def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
@@ -240,8 +236,7 @@ def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
     from . import toricdata
 
     counts = {"parsed": 0, "inconsistent": 0}
-    usable = (record for record in _read_ks(args, [], counts, "parsed") if record.consistent)
-    report = toricdata.h11_range_report(usable)
+    report = toricdata.h11_range_report(chain.from_iterable(_read_ks(args, [], counts, "parsed", usable=True)))
     results = {"plus": _side_dict(report.plus), "minus": _side_dict(report.minus), "counts": counts}
     ok = report.clean and not counts["errors"] and not counts["inconsistent"]
     return results, "pass" if ok else "fail"
@@ -397,20 +392,26 @@ def dumps(obj: object, depth: int = 0) -> str:
     return "".join(("[", inner, body, outer, "]"))
 
 
-def _write_rows(records: Iterable, jsonl: bool, write: Callable) -> None:
-    """Each ks record's row through ``write``, ``JSONL_CHUNK`` rows at a time: a jsonl
-    line, or an item of results.records (depth 2 in the envelope) led by its separator.
-    The format is json's text for a row of ``"%s"``, keys sorted.  ``chi`` is tested with
-    ``is None`` and ``consistent`` by truth, never looked up by value (``1 == True``)."""
+def _write_rows(runs: Iterable[list], jsonl: bool, write: Callable, counts: dict) -> None:
+    """Each ks record's row through ``write`` once ``JSONL_CHUNK`` or more wait, and at the end: a
+    jsonl line, or an item of results.records (depth 2 in the envelope) led by its separator, as
+    json's text for a row of ``"%s"``, keys sorted.  ``chi`` is tested with ``is None`` and ``consistent``
+    by truth, never looked up by value (``1 == True``); records not consistent count as "inconsistent"."""
     row = dict.fromkeys("ambient_dim chi consistent h11 h21 line vertex_count".split(), "%s")
     row = json.dumps(row, sort_keys=True) + "\n" if jsonl else ",\n      " + dumps(row, 3)
-    row, records = row.replace('"%s"', "%s"), iter(records)
-    while chunk := [
-        row % (r.ambient_dim, "null" if r.chi is None else r.chi,
-               "true" if r.consistent else "false", r.h11, r.h21, r.line, r.vertex_count)
-        for r in islice(records, JSONL_CHUNK)
-    ]:
-        write("".join(chunk))
+    row, rows = row.replace('"%s"', "%s"), []
+    for run in runs:
+        flags = [r.consistent for r in run]
+        counts["inconsistent"] += flags.count(False)
+        rows += [
+            row % (r[0], "null" if r[4] is None else r[4], "true" if ok else "false", r[2], r[3], r[8], r[1])
+            for r, ok in zip(run, flags)
+        ]
+        if len(rows) >= JSONL_CHUNK:
+            write("".join(rows))
+            rows = []
+    if rows:
+        write("".join(rows))
 
 
 def _parameters(args: argparse.Namespace) -> dict:
@@ -427,7 +428,7 @@ def run(argv: Sequence[str]) -> int:
         results, status = args.handler(args)
         if callable(status):  # ks rows as the records are parsed, then the status
             jsonl = args.format == "jsonl"
-            _write_rows(results["records"], jsonl, sys.stdout.write if jsonl else rows.append)
+            _write_rows(results["records"], jsonl, sys.stdout.write if jsonl else rows.append, results["counts"])
             results["records"], status = [], status()
     except (ValueError, OSError) as exc:
         # a refused or failed command reports in the envelope, whatever the format

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, islice, repeat
 from operator import add, eq, mul
 
@@ -162,15 +162,14 @@ def verify_reflexive(p: ReflexivePolytope) -> ReflexivityReport:
 
 # --- Hodge-number list records ------------------------------------------
 
-_HEADER_RE = re.compile(
-    r"""^\s*(?P<dim>\d+)\s+(?P<count>\d+)
-        (?:\s+M:(?P<m1>\d+)\s+(?P<m2>\d+))?
-        (?:\s+N:(?P<n1>\d+)\s+(?P<n2>\d+))?
-        \s+H:(?P<h11>\d+),(?P<h21>\d+)
-        (?:\s+\[(?P<chi>-?\d+)\])?\s*$""",
+_HEADER_RE = re.compile(  # possessive: no two neighbouring classes overlap, so nothing is given back
+    r"""^\s*+(?P<dim>\d++)\s++(?P<count>\d++)
+        (?:\s++M:(?P<m1>\d++)\s++(?P<m2>\d++))?
+        (?:\s++N:(?P<n1>\d++)\s++(?P<n2>\d++))?
+        \s++H:(?P<h11>\d++),(?P<h21>\d++)
+        (?:\s++\[(?P<chi>-?\d++)\])?\s*+$""",
     re.VERBOSE,
 )
-
 _HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 
 _TOO_LONG = "header number has too many digits"
@@ -264,9 +263,18 @@ def _read(lines: Iterator[str]) -> list[str]:
     return [*map(str.rstrip, islice(lines, _BLOCK), repeat("\n"))]
 
 
-def parse_ks(
-    lines: Iterable[str], strict: bool = False
-) -> Iterator[KSRecord | KSParseError]:
+def _unparsed(line: int, text: str) -> KSParseError:
+    """The error of a line that is neither blank nor a header, read as a line."""
+    return KSParseError(
+        line,
+        f"malformed header: {text.strip()!r}" if "H:" in text
+        else _STRAY if _row_words([text]) != [-1]
+        else "missing H:<h11>,<h21> field" if _HEADERISH_RE.match(text)
+        else f"unrecognized line: {text.strip()!r}",
+    )
+
+
+def parse_ks(lines: Iterable[str], strict: bool = False) -> Iterator[KSRecord | KSParseError]:
     """Parse header/matrix records from line-oriented text, streaming.
 
     Each header ``<dim> <count> [M:a b] [N:c d] H:<h11>,<h21> [chi]`` is
@@ -276,26 +284,33 @@ def parse_ks(
     contradicts ``2*(h11 - h21)`` is an error under ``strict``; otherwise
     it is yielded with its ``consistent`` flag set to ``False``.
     """
+    return chain.from_iterable(_runs(lines, strict))
+
+
+def _runs(lines: Iterable[str], strict: bool) -> Iterator[list[KSRecord | KSParseError]]:
+    """:func:`parse_ks`'s items a run at a time, each error of the line path on its own."""
     lines = iter(lines)
     buf: list[str] = []
     base = i = 0  # buf[i] is line base + i + 1, the next to parse
-    size = 1  # the most records the next run may take
+    size, known = 1, None  # the most records the next run may take; buf[i]'s header match, if made
+    number = lru_cache(1024)(int)  # header numbers repeat, and a lookup is cheaper than int()
     while True:
         if i == len(buf):
             base, i, buf = base + i, 0, _read(lines)
             if not buf:
                 return
-        # a run of records whose matrices end inside buf, with the rows of
-        # all of them checked at once
-        run: list[KSRecord | KSParseError] = []
+        # a run of records whose matrices end inside buf, and the blanks between them; all rows checked at once
+        run, rows, words = [], [], []  # the items, the records' rows and each row's word count
         spans: list[tuple[int, ...]] = []  # each record's header index, dim, count and end in rows
-        rows: list[str] = []
-        words: list[int] = []
         end, header = len(buf), _HEADER_RE.match
-        while i < end and (match := header(buf[i])):
+        while i < end and ((match := known or header(buf[i])) or not buf[i].strip()):
+            known = None
+            if not match:  # a blank line, which no record needs
+                i += 1
+                continue
             dim, count, m1, m2, n1, n2, h11, h21, chi = match.groups()
             try:
-                dim, count = int(dim), int(count)
+                dim, count = number(dim), number(count)
             except ValueError:
                 break
             if i + dim >= end or (dim and count < 1):
@@ -306,10 +321,10 @@ def parse_ks(
             spans.append((i, dim, count, len(rows)))
             line, i = base + i + 1, i + 1 + dim
             try:  # int() and str() refuse a number past the digit limit (4300 by default)
-                h11, h21 = int(h11), int(h21)
-                chi = None if chi is None else int(chi)
-                m_points = None if m1 is None else (int(m1), int(m2))
-                n_points = None if n1 is None else (int(n1), int(n2))
+                h11, h21 = number(h11), number(h21)
+                chi = None if chi is None else number(chi)
+                m_points = None if m1 is None else (number(m1), number(m2))
+                n_points = None if n1 is None else (number(n1), number(n2))
                 if h11 < 1:
                     run.append(KSParseError(line, f"h11 must be >= 1, got {h11}"))
                 elif strict and chi is not None and chi != 2 * (h11 - h21):
@@ -324,44 +339,37 @@ def parse_ks(
                 break
         full = len(run) == size
         if rows and (found := _row_words(rows)) != words:
-            # a record's rows are good up to its first bad one; while the rest are integers
-            # they are read here as lines, each blank one skipped and the others stray, and
-            # otherwise the line path below reads on from the bad row, which may be a header
+            # a record's rows are good up to its first bad one; each later row of it is read here
+            # as a line, a blank one skipped and the others errors, up to the first header (its
+            # match is ``known``): the records after it are parsed again from there
             items, run = run, []
-            for item, (h, dim, count, stop) in zip(items, spans):
+            for n, (item, (h, dim, count, stop)) in enumerate(zip(items, spans)):
                 got, line = found[stop - dim : stop], base + h + 1
-                k = _good_rows(got, count)
-                run.append(item if k == dim else KSParseError(line, _BAD_ROW.format(count, line + 1 + k)))
-                if -1 in got[k:]:  # the next run is no longer than the records kept
-                    i, size, full = h + 1 + k, max(spans.index((h, dim, count, stop)), 1), False
-                    match = header(buf[i])
+                if (k := _good_rows(got, count)) == dim:
+                    run.append(item)
+                    continue
+                run.append(KSParseError(line, _BAD_ROW.format(count, line + 1 + k)))
+                j = next((r for r in range(k, dim) if got[r] < 0 and (known := header(buf[h + 1 + r]))), dim)
+                run += [_unparsed(line + 1 + r, buf[h + 1 + r]) for r in range(k, j) if got[r]]
+                if j < dim:  # the next run starts there, no longer than the records kept
+                    i, size, full = h + 1 + j, max(n, 1), False
                     break
-                run += [KSParseError(line + 1 + r, _STRAY) for r in range(k, dim) if got[r]]
-        yield from run
+        yield run
         if full:
             size *= 2
+        if full or known or i == len(buf):
             continue
-        if i == len(buf):
-            continue
-        # one line, or a record whose rows are not all good or not all in buf,
-        # read as the line-by-line parser reads it; ``match`` is buf[i]'s
+        # one line that is not blank, or a record whose rows are not all good or not all
+        # in buf, read as the line-by-line parser reads it; ``match`` is buf[i]'s
         lineno, text = base + i + 1, buf[i]
         i += 1
-        if not text or text.isspace():
-            continue
         if match is None:
-            yield KSParseError(
-                lineno,
-                f"malformed header: {text.strip()!r}" if "H:" in text
-                else _STRAY if _row_words([text]) != [-1]
-                else "missing H:<h11>,<h21> field" if _HEADERISH_RE.match(text)
-                else f"unrecognized line: {text.strip()!r}",
-            )
+            yield [_unparsed(lineno, text)]
             continue
         try:
             dim, count = int(match["dim"]), int(match["count"])
         except ValueError:
-            yield KSParseError(line=lineno, message=_TOO_LONG)
+            yield [KSParseError(line=lineno, message=_TOO_LONG)]
             continue
         # the rows up to the first bad one, read a block at a time while they
         # are good; buf keeps the lines from the header on
@@ -372,20 +380,16 @@ def parse_ks(
             buf += more
             good += _good_rows(_row_words(buf[1 + good : 1 + dim]), count)
         if good == dim:
-            i -= 1  # all good: the record is parsed as a run of its own
+            i, known = i - 1, match  # all good: the record is parsed as a run of its own
             continue
         message = _BAD_ROW.format(count, lineno + 1 + good)
         i += good
-        yield KSParseError(lineno, "input ended inside the vertex matrix" if i == len(buf) else message)
+        yield [KSParseError(lineno, "input ended inside the vertex matrix" if i == len(buf) else message)]
 
 
-def filter_hodge_difference(
-    items: Iterable[KSRecord], target: int
-) -> Iterator[KSRecord]:
+def filter_hodge_difference(items: Iterable[KSRecord], target: int) -> Iterator[KSRecord]:
     """Keep records with ``h11 - h21 == target`` (+1 or -1 in practice)."""
-    for record in items:
-        if record.hodge_difference == target:
-            yield record
+    return (record for record in items if record.hodge_difference == target)
 
 
 class RangeSide(namedtuple("RangeSide", "target bounds h11_values out_of_range")):
@@ -432,12 +436,7 @@ def h11_range_report(items: Iterable[KSRecord]) -> RangeReport:
             if not bounds[0] <= record.h11 <= bounds[1]:
                 flagged.append((record.line, record.h11))
     plus, minus = (
-        RangeSide(
-            target=target,
-            bounds=bounds,
-            h11_values=tuple(sorted(values)),
-            out_of_range=tuple(flagged),
-        )
+        RangeSide(target, bounds, tuple(sorted(values)), tuple(flagged))
         for target, (bounds, values, flagged) in sides.items()
     )
     return RangeReport(plus=plus, minus=minus)

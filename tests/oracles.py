@@ -21,7 +21,8 @@ the tests use them.  So is the certificate route the library replaced:
 the capped partitions materialised and sorted into scan order, one
 exponent vector per partition, and the pair search over tightness masks
 built bit by bit from those vectors.  So is the line-by-line KS
-record parser, which checks each matrix row with its own regex and builds
+record parser, which checks each matrix row with its own regex, reads
+headers with its own copy of the backtracking header patterns and builds
 each record by keyword, and the reflexivity check that evaluates each facet
 on one vertex at a time, and the KS record writer and a certificate's
 partition-to-coefficient map, which only the tests call.
@@ -66,8 +67,6 @@ from cybordism.partitions import (
     weighted_multinomial,
 )
 from cybordism.toricdata import (
-    _HEADER_RE,
-    _HEADERISH_RE,
     _TOO_LONG,
     KSParseError,
     KSRecord,
@@ -466,6 +465,17 @@ def predicted_gcd(tag: CaseTag) -> int:
 
 
 _MATRIX_ROW_RE = re.compile(r"^\s*-?\d+(\s+-?\d+)*\s*$")
+# The header patterns in their first, backtracking form: a copy of their own,
+# so that a change to the program's patterns shows against the line reader.
+HEADER_RE = re.compile(
+    r"""^\s*(?P<dim>\d+)\s+(?P<count>\d+)
+        (?:\s+M:(?P<m1>\d+)\s+(?P<m2>\d+))?
+        (?:\s+N:(?P<n1>\d+)\s+(?P<n2>\d+))?
+        \s+H:(?P<h11>\d+),(?P<h21>\d+)
+        (?:\s+\[(?P<chi>-?\d+)\])?\s*$""",
+    re.VERBOSE,
+)
+HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 
 
 def parse_ks_by_lines(
@@ -486,13 +496,13 @@ def parse_ks_by_lines(
         text = raw.rstrip("\n")
         if not text.strip():
             continue
-        match = _HEADER_RE.match(text)
+        match = HEADER_RE.match(text)
         if match is None:
             if "H:" in text:
                 message = f"malformed header: {text.strip()!r}"
             elif _MATRIX_ROW_RE.match(text):
                 message = "stray matrix row (no preceding valid header)"
-            elif _HEADERISH_RE.match(text):
+            elif HEADERISH_RE.match(text):
                 message = "missing H:<h11>,<h21> field"
             else:
                 message = f"unrecognized line: {text.strip()!r}"

@@ -22,7 +22,7 @@ from cybordism import cli, cohomology
 from cybordism.cli import dumps, run
 from cybordism.toricdata import KSRecord
 
-from oracles import as_dict, format_ks
+from oracles import as_dict, format_ks, parse_ks_by_lines
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = str(DATA / "ks_sample.txt")
@@ -389,8 +389,8 @@ def test_ks_reads_stdin(capsys, monkeypatch):
 @st.composite
 def ks_records(draw):
     """Records whose rows hold each kind of scalar: ``chi`` None, 0, 1, -1 or large,
-    consistent or not, and a large ``h11``."""
-    h11 = draw(st.integers(1, 99) | st.just(10**40))
+    consistent or not, and a large ``h11``; and records with ``h11 = 0``, which are errors."""
+    h11 = draw(st.integers(0, 99) | st.just(10**40))
     h21 = draw(st.integers(0, 99) | st.just(h11))
     chi = draw(st.sampled_from([None, 0, 1, -1, -(10**40), "consistent"]))
     chi = 2 * (h11 - h21) if chi == "consistent" else chi
@@ -399,27 +399,36 @@ def ks_records(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(ks_records(), max_size=7), st.sampled_from([1, 2, 3, 4096]))
-def test_ks_rows_are_the_reference_encoding(records, chunk):
-    # the rows of ks parse and ks filter, in both layouts, against json's text
-    # for as_dict plus the header line, across every chunk boundary
+@given(st.lists(ks_records(), max_size=7), st.sampled_from([1, 2, 3, 4096]), st.booleans())
+def test_ks_rows_are_the_reference_encoding(records, chunk, strict):
+    # the rows, error rows and counts of ks parse and ks filter, in both layouts, against
+    # json's text for what the line-by-line parser reads, across every chunk boundary;
+    # h11 = 0, and under --strict a contradicting chi, put errors inside runs of records
     text = "".join(format_ks(record) + "\n" for record in records)
-    rows, line = [], 1
-    for record in records:
-        rows.append({**as_dict(record), "line": line})
-        line += 1 + record.ambient_dim
-    kept = [row for row, r in zip(rows, records) if r.consistent and r.hodge_difference == 1]
-    for argv, expected in ((["parse"], rows), (["filter", "--target", "1"], kept)):
+    items = list(parse_ks_by_lines(text.splitlines(), strict))
+    found = [item for item in items if isinstance(item, KSRecord)]
+    rows = [{**as_dict(record), "line": record.line} for record in found]
+    errors = [{"line": e.line, "message": e.message} for e in items if not isinstance(e, KSRecord)]
+    kept = [row for row, r in zip(rows, found) if r.consistent and r.hodge_difference == 1]
+    counts = {"errors": len(errors), "inconsistent": sum(not r.consistent for r in found)}
+    cases = (
+        (["parse"], rows, errors, {**counts, "records": len(rows)}),
+        (["filter", "--target", "1"], kept, [], {**counts, "parsed": len(rows), "kept": len(kept)}),
+    )
+    for argv, expected, expected_errors, expected_counts in cases:
         out = {}
         for fmt in ("json", "jsonl"):
             with mock.patch.object(cli, "JSONL_CHUNK", chunk), mock.patch.object(
                 sys, "stdin", io.StringIO(text)
             ), contextlib.redirect_stdout(io.StringIO()) as stdout:
-                run(["ks", *argv, "--input", "-", "--format", fmt])
+                run(["ks", *argv, "--input", "-", "--format", fmt, *["--strict"] * strict])
             out[fmt] = stdout.getvalue()
-        assert out["jsonl"] == "".join(json.dumps(row, sort_keys=True) + "\n" for row in expected)
+        error_rows = [{"error": True, **e} for e in expected_errors]
+        assert out["jsonl"] == "".join(json.dumps(row, sort_keys=True) + "\n" for row in expected + error_rows)
         doc = json.loads(out["json"])
         assert doc["results"]["records"] == expected  # 1 == True: the line below tells them apart
+        assert doc["results"].get("errors", []) == expected_errors
+        assert doc["results"]["counts"] == expected_counts
         doc["results"]["records"] = expected
         assert out["json"] == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

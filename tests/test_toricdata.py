@@ -28,7 +28,7 @@ from cybordism.toricdata import (
     verify_reflexive,
 )
 
-from oracles import format_ks, parse_ks_by_lines, reflexivity_by_vertices
+from oracles import HEADER_RE, HEADERISH_RE, format_ks, parse_ks_by_lines, reflexivity_by_vertices
 
 DATA = Path(__file__).parent / "data"
 
@@ -366,6 +366,74 @@ ROWS = st.builds(
     st.sampled_from(["", " ", "\r", "\n", "\x0b"]),
 )
 LINES = st.one_of(HEADERS, ROWS, ROWS, st.sampled_from(["", " ", "\r", "\x0b"]), st.text(max_size=6))
+
+
+@st.composite
+def header_like(draw):
+    """A line built on the header grammar from numbers and gaps that may be empty."""
+    number = st.sampled_from(["0", "7", "12", "٣", "٣4", "007", ""])
+    space = st.sampled_from([" ", "  ", "\t", "\x0b", "\xa0", "\n", " \n", ""])
+    parts = [draw(space), draw(number), draw(space), draw(number)]
+    for tag in ("M:", "N:"):
+        if draw(st.booleans()):
+            parts += [draw(space), tag, draw(number), draw(space), draw(number)]
+    parts += [draw(space), "H:", draw(number), ",", draw(number)]
+    if draw(st.booleans()):
+        parts += [draw(space), "[", draw(st.sampled_from(["", "-", "--"])), draw(number), "]"]
+    return "".join([*parts, draw(space)])
+
+
+# characters the header grammar gives a meaning to, and some it does not
+EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 80),
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.sampled_from([" ", "\t", "\n", "\x0b", "\xa0", "0", "7", "٣", "-", ",", ":", "M", "N", "H", "[", "]", "x"]),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(HEADERS | header_like(), EDITS, st.sampled_from(["", " ", "\n", " \n"]))
+def test_header_patterns_match_the_oracle_copies(header, edits, tail):
+    line = header + tail
+    for position, kind, char in edits:
+        position %= len(line) + 1
+        line = line[:position] + ("" if kind == "delete" else char) + line[position + (kind != "insert") :]
+    for program, oracle in ((toricdata._HEADER_RE, HEADER_RE), (toricdata._HEADERISH_RE, HEADERISH_RE)):
+        found, expected = program.match(line), oracle.match(line)
+        assert (found and found.groups()) == (expected and expected.groups()), repr(line)
+
+
+class CountingPattern:
+    """A compiled pattern whose ``match`` calls are counted."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, text):
+        self.calls += 1
+        return self.pattern.match(text)
+
+
+def test_each_line_is_matched_as_a_header_at_most_once(monkeypatch):
+    # a non-integer word in the first row of every 50th record, blank lines between
+    # some records, and records across block boundaries: no line is read as a
+    # header twice, so the records after a bad one in its run are kept
+    lines = []
+    for n in range(2500):
+        dim, count = 1 + n % 4, 3 + n % 5
+        rows = [" ".join(str((7 * n + 3 * r + c) % 9 - 4) for c in range(count)) for r in range(dim)]
+        if n % 50 == 49:
+            rows[0] = "x" + rows[0]
+        lines += [f"{dim} {count} H:{1 + n % 90},{n % 7}", *rows] + [""] * (n % 13 == 0)
+    counter = CountingPattern(toricdata._HEADER_RE)
+    monkeypatch.setattr(toricdata, "_HEADER_RE", counter)
+    items = parsed(lines)
+    assert items == parsed_by_lines(lines)
+    good_rows = sum(len(item.matrix) for kind, _, item in items if kind is KSRecord)
+    assert counter.calls <= len(lines) - good_rows
 
 
 @settings(max_examples=400, deadline=None)
