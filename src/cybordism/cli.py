@@ -184,22 +184,26 @@ def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if report.ok else "fail"
 
 
-def _read_ks(args: argparse.Namespace, errors: list, counts: dict, key: str, usable: bool = False) -> Iterator[list]:
+def _read_ks(
+    args: argparse.Namespace, counts: dict, key: str, errors: list | None = None, usable: bool = False
+) -> Iterator[list]:
     """The input's records a run at a time, counted under ``key``; with ``usable`` only the consistent
-    ones, the others counted as "inconsistent".  Error rows go to ``errors``, their number to ``counts``."""
+    ones, the others counted as "inconsistent".  Error items are counted as "errors", their rows put
+    in ``errors`` when it is given."""
     from . import toricdata
 
     record = toricdata.KSRecord
     with nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8") as handle:
         for run in toricdata._runs(handle, args.strict):
             records = [item for item in run if type(item) is record]
-            errors += [{"line": e.line, "message": e.message} for e in run if type(e) is not record]
             counts[key] += len(records)
+            counts["errors"] += len(run) - len(records)
+            if errors is not None:
+                errors += [{"line": e.line, "message": e.message} for e in run if type(e) is not record]
             if usable:
                 run, records = records, [r for r in records if r.consistent]
                 counts["inconsistent"] += len(run) - len(records)
             yield records
-    counts["errors"] = len(errors)
 
 
 def _ks_status(counts: dict, key: str) -> str:
@@ -209,8 +213,8 @@ def _ks_status(counts: dict, key: str) -> str:
 
 def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
     """parse records, reporting positioned errors"""
-    errors, counts = [], {"records": 0, "inconsistent": 0}
-    results = {"records": _read_ks(args, errors, counts, "records"), "errors": errors, "counts": counts}
+    errors, counts = [], {"records": 0, "inconsistent": 0, "errors": 0}
+    results = {"records": _read_ks(args, counts, "records", errors), "errors": errors, "counts": counts}
     return results, partial(_ks_status, counts, "records")
 
 
@@ -218,8 +222,8 @@ def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
     """keep records with the requested Hodge difference"""
     from . import toricdata
 
-    counts = {"parsed": 0, "inconsistent": 0, "kept": 0}
-    usable = _read_ks(args, [], counts, "parsed", usable=True)
+    counts = {"parsed": 0, "inconsistent": 0, "errors": 0, "kept": 0}
+    usable = _read_ks(args, counts, "parsed", usable=True)
     kept = ([*toricdata.filter_hodge_difference(run, args.target)] for run in usable)
     records = (run for run in kept for counts["kept"] in [counts["kept"] + len(run)])  # counted as they pass
     results = {"target": args.target, "records": records, "counts": counts}
@@ -235,8 +239,8 @@ def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
     """summarise achieved h11 values for both signs"""
     from . import toricdata
 
-    counts = {"parsed": 0, "inconsistent": 0}
-    report = toricdata.h11_range_report(chain.from_iterable(_read_ks(args, [], counts, "parsed", usable=True)))
+    counts = {"parsed": 0, "inconsistent": 0, "errors": 0}
+    report = toricdata.h11_range_report(chain.from_iterable(_read_ks(args, counts, "parsed", usable=True)))
     results = {"plus": _side_dict(report.plus), "minus": _side_dict(report.minus), "counts": counts}
     ok = report.clean and not counts["errors"] and not counts["inconsistent"]
     return results, "pass" if ok else "fail"
@@ -434,23 +438,30 @@ def run(argv: Sequence[str]) -> int:
         # a refused or failed command reports in the envelope, whatever the format
         results, status, args.format, rows = {"error": str(exc)}, "fail", "json", []
 
-    if args.format == "csv":
-        sys.stdout.write(_render_csv(results["rows"]))
-    elif args.format == "jsonl":
-        encode, errors = json.JSONEncoder(sort_keys=True).encode, results.get("errors", ())
-        sys.stdout.write("".join([f"{encode({'error': True, **e})}\n" for e in errors]))
-    else:
-        envelope = {
-            "command": command,
-            "parameters": _parameters(args),
-            "results": results,
-            "status": status,
-        }
-        head, slot, tail = dumps(envelope).partition('"records": [')
-        if rows:  # the rows go in the records list that dumps left empty
-            rows[0] = rows[0][1:]  # no separator before the first
-            rows.append("\n    ")  # where results.records closes
-        sys.stdout.writelines([head, slot, *rows, tail, "\n"])
+    # an exact value may pass int's 4300-digit limit for str(), as the s-number of a single part
+    # over 1370 does; the limit is lifted only here, since the ks parser relies on it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "csv":
+            sys.stdout.write(_render_csv(results["rows"]))
+        elif args.format == "jsonl":
+            encode, errors = json.JSONEncoder(sort_keys=True).encode, results.get("errors", ())
+            sys.stdout.write("".join([f"{encode({'error': True, **e})}\n" for e in errors]))
+        else:
+            envelope = {
+                "command": command,
+                "parameters": _parameters(args),
+                "results": results,
+                "status": status,
+            }
+            head, slot, tail = dumps(envelope).partition('"records": [')
+            if rows:  # the rows go in the records list that dumps left empty
+                rows[0] = rows[0][1:]  # no separator before the first
+                rows.append("\n    ")  # where results.records closes
+            sys.stdout.writelines([head, slot, *rows, tail, "\n"])
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0 if status == "pass" else 1
 
 

@@ -175,14 +175,15 @@ _HEADERISH_RE = re.compile(r"^\s*\d+\s+\d+(\s|$)")
 _TOO_LONG = "header number has too many digits"
 _STRAY = "stray matrix row (no preceding valid header)"
 _BAD_ROW = "expected a row of {} integers at line {}"
+_ENDED = "input ended inside the vertex matrix"
 
 # Lines are read _BLOCK at a time, so a bad matrix row is reported at most
 # that many lines after it is read.
 _BLOCK = 1024
-# ASCII digits -> "0", whitespace (str.isspace) -> "1", "-" and ";" kept, the rest -> "!"
+# Latin-1 code points: "-", "\n" and "?" kept, other whitespace (str.isspace) -> "1",
+# digits (str.isdecimal, ASCII alone here) -> "0", the rest -> "!"
 _ROW_BYTES = bytes(
-    48 if chr(b).isdecimal() else 49 if chr(b).isspace() else b if chr(b) in "-;" else 33
-    for b in range(256)
+    b if chr(b) in "-\n?" else 48 if chr(b).isdecimal() else 49 if chr(b).isspace() else 33 for b in range(256)
 )
 
 
@@ -192,22 +193,27 @@ def _row_words(rows: list[str]) -> list[int]:
     A row is integers exactly when the regex ``^\s*-?\d+(\s+-?\d+)*\s*$``
     matches it or it is blank: ``re``'s ``\s`` and ``\d`` on ``str`` patterns
     are ``str.isspace`` and ``str.isdecimal``, which ``str.split`` and the
-    checks here use too.  ASCII rows are mapped through ``_ROW_BYTES``, each
-    ended by " ; ", and each "1-0" is made "100": then a row is integers when
-    it is all digits, and has one "01" per word (a ";" in a row makes too
-    many rows).  All rows are checked at once, and each on its own only
-    when that fails.
+    checks here use too.  The rows, each between spaces and joined by line
+    breaks, are encoded as Latin-1 with "?" for the rest, mapped through
+    ``_ROW_BYTES``, and each "1-0" is made "100": then a row is integers when
+    it is all digits, and has one "01" per word.  When a "?" is left, each
+    row that is not ASCII is checked again on its own; all rows are when
+    one holds a line break.
     """
-    text = " ; ".join([*rows, ""])
-    if text.isascii():
-        mapped = f" {text}".encode().translate(_ROW_BYTES).replace(b"1-0", b"100")
-        if len(parts := mapped.split(b";")[:-1]) == len(rows):
-            counts = [*map(bytes.count, parts, repeat(b"01"))]
-            if b"!" in mapped or b"-" in mapped:
-                counts = [n if part.isdigit() else -1 for n, part in zip(counts, parts)]
-            return counts
-    words = map(str.split, rows)
-    return [len(w) if all(x.removeprefix("-").isdecimal() for x in w) else -1 for w in words]
+    text = " " + " \n ".join(rows) + " "
+    mapped = text.encode("latin-1", "replace").translate(_ROW_BYTES).replace(b"1-0", b"100")
+    if len(parts := mapped.split(b"\n")) != len(rows):  # a row with a line break, or no rows
+        return [*map(_words, rows)]
+    counts = [part.count(b"01") if part.isdigit() else -1 for part in parts]
+    if b"?" in mapped:
+        counts = [_words(row) if n < 0 and not row.isascii() else n for n, row in zip(counts, rows)]
+    return counts
+
+
+def _words(row: str) -> int:
+    """``_row_words([row])``, word by word."""
+    words = row.split()
+    return len(words) if all(x.removeprefix("-").isdecimal() for x in words) else -1
 
 
 def _good_rows(words: list[int], count: int) -> int:
@@ -263,12 +269,12 @@ def _read(lines: Iterator[str]) -> list[str]:
     return [*map(str.rstrip, islice(lines, _BLOCK), repeat("\n"))]
 
 
-def _unparsed(line: int, text: str) -> KSParseError:
-    """The error of a line that is neither blank nor a header, read as a line."""
+def _unparsed(line: int, text: str, verdict: int) -> KSParseError:
+    """The error of a line that is neither blank nor a header, by its ``_row_words`` verdict."""
     return KSParseError(
         line,
         f"malformed header: {text.strip()!r}" if "H:" in text
-        else _STRAY if _row_words([text]) != [-1]
+        else _STRAY if verdict > 0
         else "missing H:<h11>,<h21> field" if _HEADERISH_RE.match(text)
         else f"unrecognized line: {text.strip()!r}",
     )
@@ -288,38 +294,45 @@ def parse_ks(lines: Iterable[str], strict: bool = False) -> Iterator[KSRecord | 
 
 
 def _runs(lines: Iterable[str], strict: bool) -> Iterator[list[KSRecord | KSParseError]]:
-    """:func:`parse_ks`'s items a run at a time, each error of the line path on its own."""
+    """:func:`parse_ks`'s items a block at a time, from one walk over each block's lines."""
     lines = iter(lines)
-    buf: list[str] = []
-    base = i = 0  # buf[i] is line base + i + 1, the next to parse
-    size, known = 1, None  # the most records the next run may take; buf[i]'s header match, if made
+    base = 0  # buf[i] is line base + i + 1
     number = lru_cache(1024)(int)  # header numbers repeat, and a lookup is cheaper than int()
-    while True:
-        if i == len(buf):
-            base, i, buf = base + i, 0, _read(lines)
-            if not buf:
-                return
-        # a run of records whose matrices end inside buf, and the blanks between them; all rows checked at once
-        run, rows, words = [], [], []  # the items, the records' rows and each row's word count
-        spans: list[tuple[int, ...]] = []  # each record's header index, dim, count and end in rows
-        end, header = len(buf), _HEADER_RE.match
-        while i < end and ((match := known or header(buf[i])) or not buf[i].strip()):
-            known = None
-            if not match:  # a blank line, which no record needs
-                i += 1
+    header = _HEADER_RE.match
+    while buf := _read(lines):
+        words, run, i, end = _row_words(buf), [], 0, len(buf)  # each line's row check
+        while i < end:
+            line, text, verdict = base + i + 1, buf[i], words[i]
+            i += 1
+            if not verdict:  # a blank line
+                continue
+            if not (match := header(text)):
+                run.append(_unparsed(line, text, verdict))
                 continue
             dim, count, m1, m2, n1, n2, h11, h21, chi = match.groups()
             try:
                 dim, count = number(dim), number(count)
             except ValueError:
-                break
-            if i + dim >= end or (dim and count < 1):
-                break
-            matrix = buf[i + 1 : i + 1 + dim]
-            rows += matrix
-            words += [count] * dim
-            spans.append((i, dim, count, len(rows)))
-            line, i = base + i + 1, i + 1 + dim
+                run.append(KSParseError(line, _TOO_LONG))
+                continue
+            if (good := _good_rows(words[i : i + dim], count)) == end - i < dim:
+                # good up to the end of buf: read on a block at a time while the rows
+                # stay good, buf kept from the header on and only new lines checked
+                yield run
+                del buf[: i - 1], words[: i - 1]
+                run, base, i = [], base + i - 1, 1
+                while good == len(buf) - 1 < dim and (more := _read(lines)):
+                    buf += more
+                    words += (found := _row_words(more))
+                    good += _good_rows(found[: dim - good], count)
+                end = len(buf)
+            if good < dim:  # parsing resumes at the bad row
+                message = _ENDED if i + good == end else _BAD_ROW.format(count, line + 1 + good)
+                run.append(KSParseError(line, message))
+                i += good
+                continue
+            matrix = buf[i : i + dim]
+            i += dim
             try:  # int() and str() refuse a number past the digit limit (4300 by default)
                 h11, h21 = number(h11), number(h21)
                 chi = None if chi is None else number(chi)
@@ -335,56 +348,8 @@ def _runs(lines: Iterable[str], strict: bool) -> Iterator[list[KSRecord | KSPars
                     run.append(tuple.__new__(KSRecord, fields))  # no keyword matching
             except ValueError:
                 run.append(KSParseError(line, _TOO_LONG))
-            if len(run) == size:
-                break
-        full = len(run) == size
-        if rows and (found := _row_words(rows)) != words:
-            # a record's rows are good up to its first bad one; each later row of it is read here
-            # as a line, a blank one skipped and the others errors, up to the first header (its
-            # match is ``known``): the records after it are parsed again from there
-            items, run = run, []
-            for n, (item, (h, dim, count, stop)) in enumerate(zip(items, spans)):
-                got, line = found[stop - dim : stop], base + h + 1
-                if (k := _good_rows(got, count)) == dim:
-                    run.append(item)
-                    continue
-                run.append(KSParseError(line, _BAD_ROW.format(count, line + 1 + k)))
-                j = next((r for r in range(k, dim) if got[r] < 0 and (known := header(buf[h + 1 + r]))), dim)
-                run += [_unparsed(line + 1 + r, buf[h + 1 + r]) for r in range(k, j) if got[r]]
-                if j < dim:  # the next run starts there, no longer than the records kept
-                    i, size, full = h + 1 + j, max(n, 1), False
-                    break
         yield run
-        if full:
-            size *= 2
-        if full or known or i == len(buf):
-            continue
-        # one line that is not blank, or a record whose rows are not all good or not all
-        # in buf, read as the line-by-line parser reads it; ``match`` is buf[i]'s
-        lineno, text = base + i + 1, buf[i]
-        i += 1
-        if match is None:
-            yield [_unparsed(lineno, text)]
-            continue
-        try:
-            dim, count = int(match["dim"]), int(match["count"])
-        except ValueError:
-            yield [KSParseError(line=lineno, message=_TOO_LONG)]
-            continue
-        # the rows up to the first bad one, read a block at a time while they
-        # are good; buf keeps the lines from the header on
-        good = _good_rows(_row_words(buf[i : i + dim]), count)
-        while good == len(buf) - i < dim and (more := _read(lines)):
-            del buf[: i - 1]
-            base, i = base + i - 1, 1
-            buf += more
-            good += _good_rows(_row_words(buf[1 + good : 1 + dim]), count)
-        if good == dim:
-            i, known = i - 1, match  # all good: the record is parsed as a run of its own
-            continue
-        message = _BAD_ROW.format(count, lineno + 1 + good)
-        i += good
-        yield [KSParseError(lineno, "input ended inside the vertex matrix" if i == len(buf) else message)]
+        base += end
 
 
 def filter_hodge_difference(items: Iterable[KSRecord], target: int) -> Iterator[KSRecord]:

@@ -131,6 +131,22 @@ def test_s_number_subcommand(capsys):
     assert doc["results"]["s_number"] == -5120
 
 
+def test_s_number_past_the_digit_limit_is_printed_exactly(capsys):
+    # the degree-d hypersurface in CP^n has s-number d * (n + 1 - d**(n - 1)); here
+    # d = n + 1 = 1448, and its 4575 digits pass the 4300 that int -> str allows by default
+    code, out = invoke(capsys, ["s-number", "--partition", "1447"])
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["results"]["s_number"] == 1448 * (1448 - 1448**1446)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the limit is back for the parser, which reports a 5000-digit chi by it
+    code, doc = envelope(capsys, ["ks", "parse", "--input", str(DATA / "ks_long_number.txt")])
+    assert (code, doc["results"]["errors"]) == (1, [{"line": 6, "message": "header number has too many digits"}])
+
+
 def test_chern_subcommand(capsys):
     code, doc = envelope(capsys, ["chern", "--partition", "3"])
     assert code == 0

@@ -543,6 +543,10 @@ RUNS = [
     *(GOOD * k + SWALLOWED + GOOD * 2 for k in (0, 1, 2, 3, 6)),
     GOOD * 6 + SWALLOWED,
     GOOD * 2 + SWALLOWED[:3] + SWALLOWED[5:] + SWALLOWED[3:5] + GOOD,
+    # lines that are not rows between good records: a non-ASCII comment, and lines with ";"
+    GOOD * 3 + ["# Kähler"] + GOOD * 2 + ["# Kähler"] + GOOD,
+    GOOD * 3 + ["1 2 ; 3"] + GOOD * 2 + [";"] + GOOD,
+    GOOD * 3 + ["2 3 H:1,1", "1 2 3", "٣ 1 2"] + GOOD * 3,  # a row of non-ASCII digits inside a run
 ]
 
 
@@ -556,17 +560,30 @@ def test_runs_across_blocks_match_the_line_by_line_parser(block, monkeypatch):
 
 
 def test_parse_reads_at_most_one_block_ahead(monkeypatch):
+    # the memory bound: a header whose dim claims more rows than follow is not
+    # read past its first bad row, and a long matrix is read while its rows are good
     monkeypatch.setattr(toricdata, "_BLOCK", 8)
-    read = []
+    sample = read_lines("ks_sample.txt")
+    inputs = [
+        sample * 5,
+        ["99999999 5 H:1,1\n", *sample * 2],
+        ["99999999 5 H:1,1\n", *["1 2 3 4 5\n"] * 20, *sample * 2],  # good rows across blocks first
+        ["30 5 H:1,1\n", *["1 2 3 4 5\n"] * 30, *sample],
+    ]
 
-    def source():
-        for line in read_lines("ks_sample.txt") * 5:
+    def source(lines, read):
+        for line in lines:
             read.append(line)
             yield line
 
-    for item in parse_ks(source()):
-        # the block that holds the end of this record, and no more
-        assert len(read) <= item.line + item.ambient_dim + 8
+    for lines in inputs:
+        read = []
+        for item in parse_ks(source(lines, read)):
+            # the block that holds the last line of this item, and no more: the
+            # record's last row, or the bad row that an error names
+            bad = re.search(r"at line (\d+)", getattr(item, "message", ""))
+            last = int(bad[1]) if bad else item.line + getattr(item, "ambient_dim", 0)
+            assert len(read) <= last + 8
 
 
 def test_filter_examples():
