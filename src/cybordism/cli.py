@@ -33,8 +33,6 @@ if TYPE_CHECKING:
 # three runs each on a 2-core VM, Python 3.11).
 GN_MAX = 100_000
 POWER_CHECK_MAX = 400
-# ks record rows per write: few system calls even when stdout is unbuffered
-JSONL_CHUNK = 4096
 
 # Each handler returns ``(results, status)`` for :func:`run` to print; status
 # is "pass", "fail" or "partial".  The csv of a table command is ``results["rows"]``
@@ -193,8 +191,10 @@ def _read_ks(
     from . import toricdata
 
     record = toricdata.KSRecord
+    if args.input == "-" and sys.stdin is None:  # started with fd 0 closed
+        raise OSError("standard input is closed")
     with nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8") as handle:
-        for run in toricdata._runs(handle, args.strict):
+        for run in toricdata.parse_ks_runs(handle, args.strict):
             records = [item for item in run if type(item) is record]
             counts[key] += len(records)
             counts["errors"] += len(run) - len(records)
@@ -397,24 +397,21 @@ def dumps(obj: object, depth: int = 0) -> str:
 
 
 def _write_rows(runs: Iterable[list], jsonl: bool, write: Callable, counts: dict) -> None:
-    """Each ks record's row through ``write`` once ``JSONL_CHUNK`` or more wait, and at the end: a
-    jsonl line, or an item of results.records (depth 2 in the envelope) led by its separator, as
-    json's text for a row of ``"%s"``, keys sorted.  ``chi`` is tested with ``is None`` and ``consistent``
-    by truth, never looked up by value (``1 == True``); records not consistent count as "inconsistent"."""
+    """Each run of ks records as one text through ``write``, and an empty run as none, since
+    :func:`run` strips the first text's separator.  A record's row is a jsonl line, or an item of
+    results.records (depth 2 in the envelope) led by its separator, as json's text for a row of
+    ``"%s"``, keys sorted.  ``chi`` is tested with ``is None`` and ``consistent`` by truth, never
+    looked up by value (``1 == True``); records not consistent count as "inconsistent"."""
     row = dict.fromkeys("ambient_dim chi consistent h11 h21 line vertex_count".split(), "%s")
     row = json.dumps(row, sort_keys=True) + "\n" if jsonl else ",\n      " + dumps(row, 3)
-    row, rows = row.replace('"%s"', "%s"), []
-    for run in runs:
+    row = row.replace('"%s"', "%s")
+    for run in filter(None, runs):
         flags = [r.consistent for r in run]
         counts["inconsistent"] += flags.count(False)
-        rows += [
+        rows = [
             row % (r[0], "null" if r[4] is None else r[4], "true" if ok else "false", r[2], r[3], r[8], r[1])
             for r, ok in zip(run, flags)
         ]
-        if len(rows) >= JSONL_CHUNK:
-            write("".join(rows))
-            rows = []
-    if rows:
         write("".join(rows))
 
 
@@ -427,7 +424,7 @@ def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; prints the report and returns the exit code."""
     args = parse(argv)
     command = next("-".join(words) for words, handler, *_ in _LEAVES if handler is args.handler)
-    rows: list[str] = []  # JSON ks record rows, a chunk of text each
+    rows: list[str] = []  # JSON ks record rows, one text per run
     try:
         results, status = args.handler(args)
         if callable(status):  # ks rows as the records are parsed, then the status

@@ -290,11 +290,13 @@ def parse_ks(lines: Iterable[str], strict: bool = False) -> Iterator[KSRecord | 
     contradicts ``2*(h11 - h21)`` is an error under ``strict``; otherwise
     it is yielded with its ``consistent`` flag set to ``False``.
     """
-    return chain.from_iterable(_runs(lines, strict))
+    return chain.from_iterable(parse_ks_runs(lines, strict))
 
 
-def _runs(lines: Iterable[str], strict: bool) -> Iterator[list[KSRecord | KSParseError]]:
-    """:func:`parse_ks`'s items a block at a time, from one walk over each block's lines."""
+def parse_ks_runs(lines: Iterable[str], strict: bool = False) -> Iterator[list[KSRecord | KSParseError]]:
+    """:func:`parse_ks`'s items in the runs it chains: each run is a list, maybe empty, of the items
+    of at most ``_BLOCK`` lines, or of the lines up to the end of a matrix read past them, in line
+    order.  Each run comes from one walk over its lines."""
     lines = iter(lines)
     base = 0  # buf[i] is line base + i + 1
     number = lru_cache(1024)(int)  # header numbers repeat, and a lookup is cheaper than int()

@@ -14,11 +14,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cybordism
-from cybordism import cli, cohomology
+from cybordism import cli, cohomology, toricdata
 from cybordism.cli import dumps, run
 from cybordism.toricdata import KSRecord
 
@@ -402,6 +402,39 @@ def test_ks_reads_stdin(capsys, monkeypatch):
     assert from_stdin["results"] == from_file["results"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse"],
+        ["parse", "--format", "jsonl"],
+        ["filter", "--target", "1"],
+        ["filter", "--target", "-1", "--format", "jsonl"],
+        ["ranges"],
+    ],
+)
+def test_ks_with_stdin_closed_fails_in_the_envelope(capsys, monkeypatch, argv):
+    # Python started with fd 0 closed has sys.stdin None
+    monkeypatch.setattr(sys, "stdin", None)
+    code, doc = envelope(capsys, ["ks", *argv, "--input", "-"])
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert doc["results"] == {"error": "standard input is closed"}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 0 through preexec_fn")
+def test_ks_with_fd_0_closed_exits_1_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "cybordism", "ks", "parse", "--input", "-"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: os.close(0),
+    )
+    assert (done.returncode, done.stderr) == (1, b"")
+    doc = json.loads(done.stdout)
+    assert doc["status"] == "fail" and doc["results"] == {"error": "standard input is closed"}
+
+
 @st.composite
 def ks_records(draw):
     """Records whose rows hold each kind of scalar: ``chi`` None, 0, 1, -1 or large,
@@ -415,12 +448,21 @@ def ks_records(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(ks_records(), max_size=7), st.sampled_from([1, 2, 3, 4096]), st.booleans())
-def test_ks_rows_are_the_reference_encoding(records, chunk, strict):
+@given(
+    st.lists(ks_records(), max_size=7),
+    st.sampled_from([1, 2, 3, 4096]),
+    st.sampled_from(["", "noise\n", "\n\n\n"]),
+    st.booleans(),
+)
+# a first block without a record (a noise line; an h11 = 0 record) writes no rows
+@example([KSRecord(0, 2, 1, 1)], 1, "noise\n", False)
+@example([KSRecord(0, 2, 0, 1), KSRecord(0, 2, 1, 1)], 1, "", False)
+def test_ks_rows_are_the_reference_encoding(records, block, lead, strict):
     # the rows, error rows and counts of ks parse and ks filter, in both layouts, against
-    # json's text for what the line-by-line parser reads, across every chunk boundary;
-    # h11 = 0, and under --strict a contradicting chi, put errors inside runs of records
-    text = "".join(format_ks(record) + "\n" for record in records)
+    # json's text for what the line-by-line parser reads, across every run boundary;
+    # h11 = 0, and under --strict a contradicting chi, put errors inside runs of records,
+    # and noise or blank lines first can leave a run without records
+    text = lead + "".join(format_ks(record) + "\n" for record in records)
     items = list(parse_ks_by_lines(text.splitlines(), strict))
     found = [item for item in items if isinstance(item, KSRecord)]
     rows = [{**as_dict(record), "line": record.line} for record in found]
@@ -434,7 +476,7 @@ def test_ks_rows_are_the_reference_encoding(records, chunk, strict):
     for argv, expected, expected_errors, expected_counts in cases:
         out = {}
         for fmt in ("json", "jsonl"):
-            with mock.patch.object(cli, "JSONL_CHUNK", chunk), mock.patch.object(
+            with mock.patch.object(toricdata, "_BLOCK", block), mock.patch.object(
                 sys, "stdin", io.StringIO(text)
             ), contextlib.redirect_stdout(io.StringIO()) as stdout:
                 run(["ks", *argv, "--input", "-", "--format", fmt, *["--strict"] * strict])
@@ -450,8 +492,8 @@ def test_ks_rows_are_the_reference_encoding(records, chunk, strict):
 
 
 def test_ks_parse_jsonl_streams(monkeypatch):
-    # each chunk of rows is written while the input is still being read
-    monkeypatch.setattr(cli, "JSONL_CHUNK", 16)
+    # each run's rows are written while the input is still being read
+    monkeypatch.setattr(toricdata, "_BLOCK", 16)
     sample = (DATA / "ks_sample.txt").read_text().splitlines(keepends=True)
     stdout, written = io.StringIO(), []
 
@@ -485,12 +527,15 @@ def test_ks_jsonl_reader_closing_the_pipe_exits_1_quietly(tmp_path):
     child.stderr.close()
 
 
-def test_ks_jsonl_one_long_write_to_a_closed_pipe_exits_1_quietly(tmp_path):
-    # 2400 rows, about 250 KB: one chunk, so one write, far more than a pipe holds;
-    # unbuffered, a raw write stops short with no error once the reader has gone
+def test_ks_jsonl_one_long_write_to_a_closed_pipe_exits_1_quietly(capsys, tmp_path):
+    # a block of one-line records is one run, so one write, and its rows are far more
+    # than a pipe holds; unbuffered, a raw write stops short with no error once the
+    # reader has gone
     path = tmp_path / "ks.txt"
-    path.write_text((DATA / "ks_sample.txt").read_text() * 200)
-    assert 2400 <= cli.JSONL_CHUNK
+    path.write_text("0 5 H:1,1\n" * 2 * toricdata._BLOCK)
+    _, out = invoke(capsys, ["ks", "parse", "--input", str(path), "--format", "jsonl"])
+    first_run = out.splitlines(keepends=True)[: toricdata._BLOCK]
+    assert len("".join(first_run)) > 64 * 2**10  # what a Linux pipe holds; about 104 KiB here
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.Popen(
         [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"],
@@ -507,8 +552,8 @@ def test_ks_jsonl_one_long_write_to_a_closed_pipe_exits_1_quietly(tmp_path):
 
 def test_ks_jsonl_mid_file_failure_prints_rows_then_the_envelope(monkeypatch, capsys, tmp_path):
     # declared: the rows written before invalid UTF-8 stay, then the fail envelope
-    # follows; rows are written a chunk at a time and read a block ahead
-    monkeypatch.setattr(cli, "JSONL_CHUNK", 1)
+    # follows; rows are written a run at a time and read a block ahead
+    monkeypatch.setattr(toricdata, "_BLOCK", 8)
     valid = (DATA / "ks_sample.txt").read_text() * 40
     path = tmp_path / "late.txt"
     path.write_bytes(valid.encode() + b"4 5 H:1,2 \xff\n")

@@ -50,6 +50,9 @@ def test_extended_gcd_handles_zero_and_negatives():
     assert extended_gcd(5, 0) == (5, 1, 0)
     d, x, y = extended_gcd(-12, 18)
     assert d == 6 and x * -12 + y * 18 == 6
+    # a negative remainder is made the positive gcd, with both multipliers negated
+    assert extended_gcd(-4, 0) == (4, -1, 0)
+    assert extended_gcd(0, -5) == (5, 0, -1)
 
 
 def test_gcd_examples():

@@ -101,6 +101,12 @@ def test_p_adic_digit_examples():
     assert p_adic_digits(6, 2) == [0, 1, 1]
     assert p_adic_digits(5, 2) == [1, 0, 1]
     assert p_adic_digits(9, 3) == [0, 0, 1]
+    for n, p in ((0, 2), (-3, 5)):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            p_adic_digits(n, p)
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError, match="digit base must be prime"):
+            p_adic_digits(10, p)
 
 
 def test_prime_power_recognition():

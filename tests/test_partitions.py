@@ -138,6 +138,8 @@ def test_enumerated_items_are_canonical_partitions():
 def test_enumeration_rejects_nonpositive():
     with pytest.raises(ValueError):
         list(enumerate_partitions(0))
+    with pytest.raises(ValueError, match="need n >= 0"):
+        count_partitions(-1)
 
 
 def test_capped_partition_examples():
