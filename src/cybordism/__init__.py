@@ -44,8 +44,8 @@ _EXPORTS = {
         ),
         "toricdata": (
             "KSParseError", "KSRecord", "ReflexivePolytope", "filter_hodge_difference",
-            "h11_range_report", "parse_ks", "parse_ks_runs", "partition_polytope", "polar_dual",
-            "product", "standard_simplex", "verify_reflexive",
+            "h11_range_report", "parse_ks", "parse_ks_file_runs", "parse_ks_runs", "partition_polytope",
+            "polar_dual", "product", "standard_simplex", "verify_reflexive",
         ),
     }.items()
     for name in names

@@ -10,12 +10,12 @@ domain or verification failures exit 1, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import nullcontext
 from functools import cache, partial
 from itertools import chain
 
@@ -191,19 +191,33 @@ def _read_ks(
     from . import toricdata
 
     record = toricdata.KSRecord
-    if args.input == "-" and sys.stdin is None:  # started with fd 0 closed
+    if args.input != "-":
+        runs = toricdata.parse_ks_file_runs(args.input, args.strict)
+    elif sys.stdin is None:  # started with fd 0 closed
         raise OSError("standard input is closed")
-    with nullcontext(sys.stdin) if args.input == "-" else open(args.input, encoding="utf-8") as handle:
-        for run in toricdata.parse_ks_runs(handle, args.strict):
-            records = [item for item in run if type(item) is record]
-            counts[key] += len(records)
-            counts["errors"] += len(run) - len(records)
-            if errors is not None:
-                errors += [{"line": e.line, "message": e.message} for e in run if type(e) is not record]
-            if usable:
-                run, records = records, [r for r in records if r.consistent]
-                counts["inconsistent"] += len(run) - len(records)
-            yield records
+    else:
+        runs = toricdata.parse_ks_runs(_utf8(sys.stdin), args.strict)
+    for run in runs:
+        records = [item for item in run if type(item) is record]
+        counts[key] += len(records)
+        counts["errors"] += len(run) - len(records)
+        if errors is not None:
+            errors += [{"line": e.line, "message": e.message} for e in run if type(e) is not record]
+        if usable:
+            run, records = records, [r for r in records if r.consistent]
+            counts["inconsistent"] += len(run) - len(records)
+        yield records
+
+
+def _utf8(stdin) -> Iterable[str]:
+    """Standard input read as a file is: strict UTF-8, universal newlines.  Python's own
+    ``sys.stdin`` may escape bad bytes as surrogates and keeps carriage returns.  A stand-in
+    without a file descriptor, such as a ``StringIO``, is read as it is."""
+    try:
+        fd = stdin.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        return stdin
+    return open(fd, encoding="utf-8", closefd=False)
 
 
 def _ks_status(counts: dict, key: str) -> str:

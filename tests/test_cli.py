@@ -511,20 +511,26 @@ def test_ks_parse_jsonl_streams(monkeypatch):
 
 
 def test_ks_jsonl_reader_closing_the_pipe_exits_1_quietly(tmp_path):
+    # 24000 rows, far more than a pipe holds, in a file of 3.3 MB, which is parsed in two
+    # processes; the command's own group must be empty once it has exited
     path = tmp_path / "ks.txt"
-    path.write_text((DATA / "ks_sample.txt").read_text() * 2000)  # 24000 rows, far more than a pipe holds
+    path.write_text((DATA / "ks_sample.txt").read_text() * 2000)
+    assert path.stat().st_size >= toricdata._SPLIT_FLOOR
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.Popen(
         [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
     )
     assert json.loads(child.stdout.readline())["line"] == 1
     child.stdout.close()
     assert child.wait(timeout=60) == 1
     assert child.stderr.read() == b""
     child.stderr.close()
+    with pytest.raises(ProcessLookupError):  # no process is left in the group
+        os.killpg(child.pid, 0)
 
 
 def test_ks_jsonl_one_long_write_to_a_closed_pipe_exits_1_quietly(capsys, tmp_path):
