@@ -368,7 +368,7 @@ def parse_ks_file_runs(path: str, strict: bool = False) -> Iterator[list[KSRecor
     """:func:`parse_ks_runs` over the UTF-8 file at ``path``, on two cores when the file is large.
 
     A regular file of at least ``_SPLIT_FLOOR`` bytes is split at a header line past its middle
-    byte: a forked child parses from there while this process parses the lines before.  The items
+    byte: a forked child parses from there while this process walks the file up to it.  The items
     are the serial walk's, in its order, but a record from the second half holds only what the
     ``ks`` commands print: its ``m_points``, ``n_points`` and ``matrix`` are left at their
     defaults.  The runs may be cut elsewhere.  Input that is not UTF-8 raises where the serial
@@ -379,11 +379,11 @@ def parse_ks_file_runs(path: str, strict: bool = False) -> Iterator[list[KSRecor
         yield from parse_ks_runs(handle, strict) if split is None else _halves(handle, path, strict, *split)
 
 
-def _split_point(handle, path: str) -> tuple[int, int, str] | None:
-    """Where the file open as ``handle`` is split: the byte offset of the split line, the number of
-    lines before it and its text.  None when the file is parsed serially: it is not a regular file
-    of ``_SPLIT_FLOOR`` bytes, the platform has no ``os.fork``, this process has another thread,
-    no header follows the middle byte, or a carriage return, which text mode reads as a line break,
+def _split_point(handle, path: str) -> tuple[int, int] | None:
+    """Where the file open as ``handle`` is split: the byte offset of the split line and the number
+    of lines before it.  None when the file is parsed serially: it is not a regular file of
+    ``_SPLIT_FLOOR`` bytes, the platform has no ``os.fork``, this process has another thread, no
+    header follows the middle byte, or a carriage return, which text mode reads as a line break,
     comes before the split line ends.  The serial walk always starts a record at a header, as a
     header is never a row of integers."""
     import _thread
@@ -396,7 +396,7 @@ def _split_point(handle, path: str) -> tuple[int, int, str] | None:
         offset = raw.tell() + len(raw.readline())  # past the line that holds the middle byte
         for line in raw:
             # a line that is not UTF-8 gets U+FFFD, which no header holds
-            if _HEADER_RE.match(text := line.decode("utf-8", "replace").removesuffix("\n")):
+            if _HEADER_RE.match(line.decode("utf-8", "replace").removesuffix("\n")):
                 break
             offset += len(line)
         else:
@@ -410,66 +410,49 @@ def _split_point(handle, path: str) -> tuple[int, int, str] | None:
             if b"\r" in chunk:
                 return None
             head += chunk.count(b"\n")
-        return (offset, head, text) if raw.tell() == offset else None  # None if the file shrank
+        return (offset, head) if raw.tell() == offset else None  # None if the file shrank
 
 
-def _halves(handle, path: str, strict: bool, offset: int, head: int, text: str) -> Iterator[list]:
-    """The runs of the file split at byte ``offset``, line ``head + 1``, whose text is ``text``.
+def _halves(handle, path: str, strict: bool, offset: int, head: int) -> Iterator[list]:
+    """The runs of the file split at byte ``offset``, line ``head + 1``.
 
-    This process walks the lines up to the split line, which ends any record cut there as the
-    serial walk would, and drops the split line's item.  Runs made once the walk has taken the
-    split line are held until the child is done: the serial walk reads that block on past the
-    split, so it loses them when the child's half is not UTF-8.  When the child fails, the file
-    is parsed again serially from line 1, past the runs already given, and so it is, from the
-    start, when no temporary file or process can be had.
+    This process makes the serial walk while a child parses from the split line.  At the first
+    run past line ``head``, which holds the split line's item, it reaps the child: when the child
+    is done, that run's items up to line ``head`` and then the child's runs replace the rest of
+    the walk.  When the child fails, or no temporary file or process can be had, the walk goes on.
     """
     from tempfile import TemporaryFile
 
-    taken = []
-
-    def split_line() -> Iterator[str]:
-        taken.append(True)
-        yield text
-
-    shipped = None
+    pid = shipped = None
     try:
         shipped = TemporaryFile()
         pid = os.fork()
-    except OSError:  # no temporary file or no new process to be had
+    except OSError:  # no temporary file or no new process to be had: the walk stays serial
+        pass
+    if pid == 0:  # the child ships its half and leaves, with status 0 when all went well
+        status = 1
+        try:
+            _ship(path, strict, offset, head, shipped)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        for run in parse_ks_runs(handle, strict):
+            if pid and run and run[-1].line > head:
+                status, pid = os.waitpid(pid, 0)[1], None
+                if not status:
+                    yield [item for item in run if item.line <= head]
+                    yield from _shipped(shipped)
+                    return
+            yield run
+    finally:
+        if pid:  # left early: the child's runs are not wanted
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
         if shipped is not None:
             shipped.close()
-        yield from parse_ks_runs(handle, strict)
-        return
-    with shipped:
-        if not pid:  # the child ships its half and leaves, with status 0 when all went well
-            status = 1
-            try:
-                _ship(path, strict, offset, head, shipped)
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            given, held = 0, []
-            for run in parse_ks_runs(chain(islice(handle, head), split_line()), strict):
-                if taken:
-                    held.append(run)
-                else:
-                    given += 1
-                    yield run
-            status, pid = os.waitpid(pid, 0)[1], 0
-            if status:
-                handle.seek(0)
-                yield from islice(parse_ks_runs(handle, strict), given, None)
-                return
-            for run in held:
-                yield [item for item in run if item.line <= head]
-            yield from _shipped(shipped)
-        finally:
-            if pid:  # left early: the child's runs are not wanted
-                from signal import SIGKILL
-
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _ship(path: str, strict: bool, offset: int, head: int, out) -> None:

@@ -66,7 +66,7 @@ def assert_split_is_serial(path, argvs=ARGVS, split=True):
     assert len(pids) == (len(argvs) if split else 0)
 
 
-def where(path) -> tuple[int, int, str] | None:
+def where(path) -> tuple[int, int] | None:
     with mock.patch.object(toricdata, "_SPLIT_FLOOR", SPLIT), open(path, encoding="utf-8") as handle:
         return toricdata._split_point(handle, str(path))
 
@@ -127,13 +127,13 @@ def records(count: int) -> str:
 
 
 def test_a_record_cut_at_the_split_still_names_its_bad_row(tmp_path):
-    # the split line is a header, so the record before it is cut there; the parent's walk
-    # ends one line past its half to report that as the serial walk does
+    # the split line is a header, so the record before it is cut there; the parent's serial
+    # walk reads past its half and reports that, and the child starts at the header
     half = records(40)
     path = tmp_path / "cut.txt"
     path.write_text(half + "3 2 H:2,1\n1 1" + " " * 400 + "\n" + half, encoding="utf-8")
-    offset, head, text = where(path)
-    assert (head, text) == (40 * 3 + 2, "2 2 H:20,20")
+    head = where(path)[1]
+    assert (head, path.read_text().splitlines()[head]) == (40 * 3 + 2, "2 2 H:20,20")
     assert_split_is_serial(path)
     _, out = output(path, ["parse"], SPLIT)
     cut = {"line": head - 1, "message": f"expected a row of 2 integers at line {head + 1}"}
@@ -158,11 +158,10 @@ def test_a_carriage_return_before_the_split_line_ends_keeps_the_file_serial(tmp_
 @pytest.mark.parametrize("block", [8, 1024, 8192])
 @pytest.mark.parametrize("late", [0, 1, 30, 1500])
 def test_invalid_utf8_in_the_second_half_fails_as_serially(tmp_path, block, late):
-    # the serial walk loses the whole block that holds the bad bytes, split line or not, so
-    # the parent holds its runs from the split line's block until the child is done; text is
-    # decoded 8 KiB at a time, and 1500 records past the split the bad bytes are far enough
-    # that the parent's own walk decodes none of them.  The rows written before and the fail
-    # envelope must be the same.
+    # the serial walk loses the whole block that holds the bad bytes, split line or not, and
+    # text is decoded 8 KiB at a time: near the split, the parent's walk may raise before the
+    # child is reaped, and 1500 records past it, the child fails and the parent's walk goes on
+    # to raise.  The rows written before and the fail envelope must be the same.
     lines = records(2000).splitlines(keepends=True)
     probe = tmp_path / "probe.txt"
     probe.write_text("".join(lines))
@@ -186,6 +185,64 @@ def sample_file(tmp_path, copies: int = 8) -> Path:
     path = tmp_path / "ks.txt"
     path.write_text((DATA / "ks_sample.txt").read_text() * copies)
     return path
+
+
+@pytest.fixture(scope="module")
+def big(work) -> Path:
+    """A file large enough to be split at the real size floor."""
+    path = sample_file(work, 640)
+    assert path.stat().st_size >= toricdata._SPLIT_FLOOR
+    return path
+
+
+def test_a_finished_childs_runs_are_the_ones_used(big, monkeypatch):
+    # the parent stops its walk at the split line's block and passes on the child's runs,
+    # rather than parsing the second half again
+    real_read, real_shipped, read, shipped = toricdata._read, toricdata._shipped, [], []
+
+    def counted(lines):
+        block = real_read(lines)
+        read.append(len(block))
+        return block
+
+    def spied(out):
+        for run in real_shipped(out):
+            shipped.append(run)
+            yield run
+
+    monkeypatch.setattr(toricdata, "_read", counted)  # the child's count stays in the child
+    monkeypatch.setattr(toricdata, "_shipped", spied)
+    for _ in toricdata.parse_ks_file_runs(str(big)):
+        pass
+    head = where(big)[1]
+    assert any(shipped)
+    # the parent reads no further than the block that holds the split line, which ends by line
+    # head + _BLOCK; the split record's rows end in that block here
+    assert sum(read) <= head + toricdata._BLOCK
+
+
+def test_no_file_is_left_open(big, tmp_path):
+    # under -X dev a file or temporary file that is never closed prints a ResourceWarning
+    late = tmp_path / "late.txt"  # the child fails on bytes that are not UTF-8
+    late.write_bytes(big.read_bytes() + b"4 5 H:1,2 \xff\n" + records(5).encode())
+    env = {**os.environ, "PYTHONPATH": SRC}
+
+    def ks(argv, path=big):
+        return [sys.executable, "-X", "dev", "-m", "cybordism", "ks", *argv, "--input", str(path)]
+
+    for argv, path, code in [
+        (["parse", "--format", "jsonl"], big, 0),
+        (["filter", "--target", "1"], big, 0),
+        (["ranges"], big, 0),
+        (["parse", "--format", "jsonl"], late, 1),
+    ]:
+        done = subprocess.run(ks(argv, path), capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (code, b""), (argv, path)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(ks(["parse", "--format", "jsonl"]), env=env, **pipes) as reader:
+        assert len(reader.stdout.read(100)) == 100
+        reader.stdout.close()  # the reader goes: the command leaves early
+        assert reader.stderr.read() == b""
 
 
 def test_a_second_thread_keeps_the_file_serial(tmp_path):
