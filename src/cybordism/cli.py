@@ -450,7 +450,7 @@ def run(argv: Sequence[str]) -> int:
         results, status, args.format, rows = {"error": str(exc)}, "fail", "json", []
 
     # an exact value may pass int's 4300-digit limit for str(), as the s-number of a single part
-    # over 1370 does; the limit is lifted only here, since the ks parser relies on it
+    # over 1370 does; the limit is lifted only here, since option and partition parsing rely on it
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -27,6 +27,7 @@ from functools import cache
 from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, prod
 
+from . import _EXPORTS
 from .partitions import (
     Partition, check_budget, count_partitions, enumerate_partitions, generator_partitions,
     multinomial, weighted_multinomial,
@@ -46,14 +47,9 @@ CHERN_TABLE_BUDGET = 2**30
 ALPHA_MAX_N = 100
 
 
-# names of the dense model, defined in .dense and resolved here on first access (PEP 562)
-_DENSE = frozenset(
-    ("ProjectiveProduct", "TruncatedPolynomial", "chern_total", "fundamental_pairing", "power_sum_direct")
-)
-
-
 def __getattr__(name: str):
-    if name not in _DENSE:
+    # the dense model's names, as the package exports them, resolve here on first access (PEP 562)
+    if _EXPORTS.get(name) != "dense":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import dense
 
@@ -123,7 +119,7 @@ class _OrbitRing:
     so its part of a key, shifted down, is a state of its
     :func:`_block_table` at any offset: one table serves every ring.
     :meth:`times_c1` reads its raises, and :meth:`pair` counts each orbit
-    ``|O|`` times against the orbit of its complement ``top - O``.
+    ``|O|`` times against the orbit of its complement, read from the tables.
 
     Only structure constants of the ring enter, never the
     weighted-multinomial formula, so the s-numbers stay a check on it.
@@ -141,7 +137,7 @@ class _OrbitRing:
         self.fields: list[tuple[int, int]] = []  # (shift, mask) per factor
         self.blocks: list[tuple[int, int, int]] = []  # (d, first factor, end)
         self.tables = []  # (shift, mask, _block_table) per block
-        shift = bias = guard = top = 0
+        shift = bias = guard = 0
         for d, run in groupby(sigma):
             m, width, start = len(list(run)), d.bit_length() + 1, len(self.fields)
             self.blocks.append((d, start, start + m))
@@ -151,9 +147,8 @@ class _OrbitRing:
                 # the digit a + b + bias reaches the guard bit iff a + b > d
                 bias |= ((1 << width - 1) - 1 - d) << shift
                 guard |= 1 << shift + width - 1
-                top |= d << shift
                 shift += width
-        self.bias, self.guard, self.top = bias, guard, top
+        self.bias, self.guard = bias, guard
         # with distinct parts every orbit is one monomial of size 1
         self.symmetric = len(self.blocks) < len(sigma)
         self.canonical = _Memo(self._canonical)
@@ -254,8 +249,6 @@ class _OrbitRing:
         if len(y) < len(x):
             x, y = y, x
         get = y.get
-        if not self.symmetric:  # every orbit is one monomial, its complement top - key
-            return sum(coeff * get(self.top - key, 0) for key, coeff in x.items())
         total = 0
         for key, coeff in x.items():
             complement = 0

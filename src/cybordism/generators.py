@@ -136,18 +136,17 @@ def _in_scan_order(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def certificate(n: int) -> GeneratorCertificate:
-    """Deterministic minimal-support certificate for the generator in ``2(n-1)``.
+    """Deterministic certificate for the generator in ``2(n-1)``: a running extended gcd.
 
-    Scans the capped partitions of ``n`` ordered by number of parts and
-    then lexicographically.  First a single s-number magnitude equal to
-    the target is accepted; then every pair is tried in scan order,
-    taking the first whose pairwise gcd hits the target, with Bezout
-    coefficients; when no pair suffices, a running extended gcd over the
-    scan order is accumulated, skipping values that do not strictly
-    reduce it, until the target is reached.  Signs are flipped at the
-    end so the combination's s-number is ``+target`` (each hypersurface
-    s-number is negative).  One walk visits the partitions already in scan
-    order at one integer add each: about 0.2 s in-process at ``n = 50``.
+    Orders the capped partitions of ``n`` by number of parts and then
+    lexicographically, and accumulates a running extended gcd of their
+    s-number magnitudes along that order, skipping values that do not
+    strictly reduce it, until the target is reached.  The order is the
+    first pair whose gcd is the target, when one exists, and the whole
+    scan otherwise.  Signs are flipped at the end so the combination's
+    s-number is ``+target`` (each hypersurface s-number is negative).
+    One walk finds the pair, visiting the partitions in scan order at one
+    integer add each: about 0.2 s in-process at ``n = 50``.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -169,16 +168,11 @@ def certificate(n: int) -> GeneratorCertificate:
     masks: list[int] = []
     for _, acc, lo, rest in _scan_runs(n, weight, start):
         masks += map(high.__and__, map(acc.__add__, pairs[rest][lo:]))
-    chosen = (masks.index(0),) if 0 in masks else _first_exact_pair(masks)
-    if chosen is None:
-        return _sequential_certificate(_in_scan_order(n), target, n)
-    order = enumerate(islice(_in_scan_order(n), chosen[-1] + 1))
-    sigma, *tau = (Partition(parts) for idx, parts in order if idx in chosen)
-    if not tau:
-        return GeneratorCertificate(n=n, entries=((sigma, -1),), achieved=target)
-    d, x, y = extended_gcd(weighted_multinomial(sigma), weighted_multinomial(tau[0]))
-    assert d == target
-    return GeneratorCertificate(n=n, entries=((sigma, -x), (tau[0], -y)), achieved=target)
+    # no single value is the target past n = 3: each is at least C(n, 2) 2^n > 2n(n - 1) >= g(n)
+    order, pair = _in_scan_order(n), _first_exact_pair(masks)
+    if pair is not None:
+        order = (parts for idx, parts in enumerate(islice(order, pair[1] + 1)) if idx in pair)
+    return _sequential_certificate(order, target, n)
 
 
 def _first_exact_pair(masks: list[int]) -> tuple[int, int] | None:

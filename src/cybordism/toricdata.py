@@ -17,6 +17,7 @@ from __future__ import annotations
 import marshal
 import os
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache, partial, reduce
@@ -230,6 +231,15 @@ def _good_rows(words: list[int], count: int) -> int:
     return len(words) if words == [count] * len(words) else [*map(eq, words, repeat(count))].index(False)
 
 
+def _number(word: str) -> int:
+    """``int(word)`` for at most 4300 digits, the default limit of int(), not counting a sign.  A
+    longer word is refused whatever the process limit is: once lifted, int() would take it, in
+    time quadratic in its length."""
+    if len(word) - word.startswith("-") > sys.int_info.default_max_str_digits:
+        raise ValueError(_TOO_LONG)
+    return int(word)
+
+
 class KSRecord(
     namedtuple(
         "KSRecord",
@@ -309,7 +319,7 @@ def parse_ks_runs(
     order.  Each run comes from one walk over its lines.  The first line is numbered ``start + 1``."""
     lines = iter(lines)
     base = start  # buf[i] is line base + i + 1
-    number = lru_cache(1024)(int)  # header numbers repeat, and a lookup is cheaper than int()
+    number = lru_cache(1024)(_number)  # header numbers repeat, and a lookup is cheaper than int()
     header = _HEADER_RE.match
     while buf := _read(lines):
         words, run, i, end = _row_words(buf), [], 0, len(buf)  # each line's row check
@@ -345,7 +355,7 @@ def parse_ks_runs(
                 continue
             matrix = buf[i : i + dim]
             i += dim
-            try:  # int() and str() refuse a number past the digit limit (4300 by default)
+            try:  # number() refuses over 4300 digits, and str() a chi message past the digit limit
                 h11, h21 = number(h11), number(h21)
                 chi = None if chi is None else number(chi)
                 m_points = None if m1 is None else (number(m1), number(m2))

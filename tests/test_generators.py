@@ -120,6 +120,15 @@ def test_two_entry_certificates_up_to_34():
     assert two == [4, 5, 6, 8, 17, 18, 32]
 
 
+def test_no_single_value_is_the_target_past_n_3():
+    # why certificate needs no single-entry case: past n = 3 every capped value is at least
+    # C(n, 2) 2^n, which is more than 2n(n - 1) >= g(n)
+    for n in range(4, 301):
+        assert math.comb(n, 2) * 2**n > 2 * n * (n - 1) >= su_generator_s_number(n), n
+    for n in range(4, 21):
+        assert min(map(weighted_multinomial, generator_partitions(n))) >= math.comb(n, 2) * 2**n, n
+
+
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
         lambda k: st.tuples(

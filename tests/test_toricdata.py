@@ -291,6 +291,25 @@ def test_over_long_header_number_is_one_positioned_error():
     assert isinstance(strict, KSParseError) and strict.line == 1
 
 
+def test_header_numbers_past_the_default_digit_limit_are_refused_with_the_limit_lifted():
+    rows = ["0 0 0 0 0"] * 4
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for digits, refused in ((4300, False), (4301, True)):
+            number = "7" * digits
+            cases = ((f"4 5 H:{number},1", (int(number), None)), (f"4 5 H:2,1 [-{number}]", (2, -int(number))))
+            for header, fields in cases:
+                (item,) = parse_ks([header, *rows])
+                if refused:
+                    assert item == KSParseError(1, "header number has too many digits")
+                else:
+                    assert isinstance(item, KSRecord) and (item.h11, item.chi) == fields
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_truncated_matrix_at_eof():
     items = list(parse_ks(["4 5 H:2,2", "1 1 1 1 1"]))
     assert len(items) == 1
