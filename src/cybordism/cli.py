@@ -174,10 +174,10 @@ def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
         "dim": poly.dim,
         "vertex_count": report.vertex_count,
         "facet_count": report.facet_count,
-        "vertices": [list(v) for v in poly.vertices],
-        "facets": [list(a) for a in poly.facets],
+        "vertices": poly.vertices,
+        "facets": poly.facets,
         "reflexive": report.ok,
-        "diagnostics": list(report.diagnostics),
+        "diagnostics": report.diagnostics,
     }
     return results, "pass" if report.ok else "fail"
 
@@ -351,7 +351,6 @@ def parse(argv: Sequence[str]) -> argparse.Namespace:
 def _render_csv(rows: list[dict]) -> str:
     """The rows under a header of their keys; every row has the first one's keys."""
     import csv
-    import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -436,24 +435,27 @@ def _parameters(args: argparse.Namespace) -> dict:
 
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; prints the report and returns the exit code."""
-    args = parse(argv)
-    command = next("-".join(words) for words, handler, *_ in _LEAVES if handler is args.handler)
-    rows: list[str] = []  # JSON ks record rows, one text per run
-    try:
-        results, status = args.handler(args)
-        if callable(status):  # ks rows as the records are parsed, then the status
-            jsonl = args.format == "jsonl"
-            _write_rows(results["records"], jsonl, sys.stdout.write if jsonl else rows.append, results["counts"])
-            results["records"], status = [], status()
-    except (ValueError, OSError) as exc:
-        # a refused or failed command reports in the envelope, whatever the format
-        results, status, args.format, rows = {"error": str(exc)}, "fail", "json", []
-
-    # an exact value may pass int's 4300-digit limit for str(), as the s-number of a single part
-    # over 1370 does; the limit is lifted only here, since option and partition parsing rely on it
+    # Options, partitions and KS header numbers are read by int(), which refuses more digits than
+    # the limit, so the command runs under the default limit whatever the caller's is.  An exact
+    # value may pass it, as the s-number of a single part over 1370 does, so the report is printed
+    # with none.  The caller's limit is back when run returns or raises.
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
+        args = parse(argv)
+        command = next("-".join(words) for words, handler, *_ in _LEAVES if handler is args.handler)
+        rows: list[str] = []  # JSON ks record rows, one text per run
+        try:
+            results, status = args.handler(args)
+            if callable(status):  # ks rows as the records are parsed, then the status
+                jsonl = args.format == "jsonl"
+                write = sys.stdout.write if jsonl else rows.append
+                _write_rows(results["records"], jsonl, write, results["counts"])
+                results["records"], status = [], status()
+        except (ValueError, OSError) as exc:
+            # a refused or failed command reports in the envelope, whatever the format
+            results, status, args.format, rows = {"error": str(exc)}, "fail", "json", []
+        sys.set_int_max_str_digits(0)
         if args.format == "csv":
             sys.stdout.write(_render_csv(results["rows"]))
         elif args.format == "jsonl":

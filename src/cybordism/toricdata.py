@@ -37,8 +37,8 @@ H11_RANGE_PLUS = (16, 90)
 H11_RANGE_MINUS = (15, 89)
 # Largest accepted ``prod(d_i + 1) * sum(d_i + 1) * n`` for a product
 # polytope: vertices times facets times dimension.  (400,) and (1,)*16 are
-# admitted, and take 0.2 s and 0.8 s as commands on a 2-core VM;
-# (1,)*17 and a 20-digit part are refused.
+# admitted, and take 0.18 s and 0.6 s as commands (medians of five runs on a
+# 2-core VM); (1,)*17 and a 20-digit part are refused.
 POLYTOPE_COST_BUDGET = 2**26
 
 
@@ -180,6 +180,8 @@ _TOO_LONG = "header number has too many digits"
 _STRAY = "stray matrix row (no preceding valid header)"
 _BAD_ROW = "expected a row of {} integers at line {}"
 _ENDED = "input ended inside the vertex matrix"
+# the most digits a header number or a strict chi message's 2*(h11 - h21) has, whatever the process limit
+_MAX_DIGITS = sys.int_info.default_max_str_digits
 
 # Lines are read _BLOCK at a time, so a bad matrix row is reported at most
 # that many lines after it is read.
@@ -232,10 +234,10 @@ def _good_rows(words: list[int], count: int) -> int:
 
 
 def _number(word: str) -> int:
-    """``int(word)`` for at most 4300 digits, the default limit of int(), not counting a sign.  A
-    longer word is refused whatever the process limit is: once lifted, int() would take it, in
-    time quadratic in its length."""
-    if len(word) - word.startswith("-") > sys.int_info.default_max_str_digits:
+    """``int(word)`` for at most ``_MAX_DIGITS`` digits, not counting a sign.  A longer word is
+    refused whatever the process limit is: once lifted, int() would take it, in time quadratic
+    in its length."""
+    if len(word) - word.startswith("-") > _MAX_DIGITS:
         raise ValueError(_TOO_LONG)
     return int(word)
 
@@ -307,6 +309,11 @@ def parse_ks(lines: Iterable[str], strict: bool = False) -> Iterator[KSRecord | 
     number, and parsing resumes on the next line.  A record whose ``chi``
     contradicts ``2*(h11 - h21)`` is an error under ``strict``; otherwise
     it is yielded with its ``consistent`` flag set to ``False``.
+
+    A header number, or the ``2*(h11 - h21)`` of a strict chi message, of
+    more than 4300 digits (int()'s default limit) is an error even when the
+    process lifts the limit; a lowered limit also refuses what int() or
+    str() refuse under it.
     """
     return chain.from_iterable(parse_ks_runs(lines, strict))
 
@@ -355,15 +362,16 @@ def parse_ks_runs(
                 continue
             matrix = buf[i : i + dim]
             i += dim
-            try:  # number() refuses over 4300 digits, and str() a chi message past the digit limit
+            try:  # int() and str() also refuse what passes a process limit below _MAX_DIGITS
                 h11, h21 = number(h11), number(h21)
                 chi = None if chi is None else number(chi)
                 m_points = None if m1 is None else (number(m1), number(m2))
                 n_points = None if n1 is None else (number(n1), number(n2))
                 if h11 < 1:
                     run.append(KSParseError(line, f"h11 must be >= 1, got {h11}"))
-                elif strict and chi is not None and chi != 2 * (h11 - h21):
-                    message = f"chi = {chi} contradicts 2*(h11 - h21) = {2 * (h11 - h21)}"
+                elif strict and chi is not None and chi != (twice := 2 * (h11 - h21)):
+                    too_long = abs(twice) >= 10**_MAX_DIGITS
+                    message = _TOO_LONG if too_long else f"chi = {chi} contradicts 2*(h11 - h21) = {twice}"
                     run.append(KSParseError(line, message))
                 else:
                     fields = (dim, count, h11, h21, chi, m_points, n_points, tuple(matrix), line)

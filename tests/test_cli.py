@@ -147,6 +147,52 @@ def test_s_number_past_the_digit_limit_is_printed_exactly(capsys):
     assert (code, doc["results"]["errors"]) == (1, [{"line": 6, "message": "header number has too many digits"}])
 
 
+def test_no_digit_limit_setting_changes_a_result(tmp_path):
+    # int() reads options and KS header numbers under the default limit, whatever
+    # PYTHONINTMAXSTRDIGITS says: unset, lifted (0) and lowered (640) give one output
+    rows = "1 2 3 4 5\n" * 4
+    for digits in (4300, 1000):
+        (tmp_path / f"{digits}.txt").write_text(f"4 5 H:{'9' * digits},1 [2]\n{rows}")
+    too_long, wide = "header number has too many digits", f"chi = 2 contradicts 2*(h11 - h21) = {2 * (10**1000 - 2)}"
+    cases = [
+        # 2*(h11 - h21) has 4301 digits, one past the limit
+        (["ks", "parse", "--strict", "--input", "4300.txt"], "errors", [{"line": 1, "message": too_long}]),
+        (["ks", "parse", "--strict", "--input", "1000.txt"], "errors", [{"line": 1, "message": wide}]),
+        (["gcd", "--max", "9" * 1000], "error", f"need --max <= 800 (the gcd budget), got {'9' * 1000}"),
+    ]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    for argv, key, value in cases:
+        outputs = set()
+        for setting in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+            command = [sys.executable, "-m", "cybordism", *argv]
+            done = subprocess.run(command, capture_output=True, cwd=tmp_path, env={**env, **setting})
+            assert done.stderr == b"", (argv, setting)
+            outputs.add((done.returncode, done.stdout))
+        assert len(outputs) == 1, argv
+        ((code, out),) = outputs
+        assert (code, json.loads(out)["results"][key]) == (1, value), argv
+
+
+def test_run_restores_the_callers_digit_limit(capsys):
+    nines = "9" * 1000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # int() at 640 digits would refuse the option, as a usage error
+        refused = invoke(capsys, ["gcd", "--max", nines])
+        assert sys.get_int_max_str_digits() == 640
+        assert invoke(capsys, ["gn", "--max", "3"])[0] == 0
+        assert sys.get_int_max_str_digits() == 640
+        with pytest.raises(SystemExit):
+            run(["gn", "--max", "x"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out = refused
+    assert (code, json.loads(out)["results"]) == (1, {"error": f"need --max <= 800 (the gcd budget), got {nines}"})
+
+
 def test_chern_subcommand(capsys):
     code, doc = envelope(capsys, ["chern", "--partition", "3"])
     assert code == 0

@@ -155,6 +155,16 @@ def test_a_carriage_return_before_the_split_line_ends_keeps_the_file_serial(tmp_
     assert_split_is_serial(path, split=split)
 
 
+def test_a_carriage_return_in_the_split_line_keeps_the_file_serial(tmp_path):
+    # as bytes, "3\r3 H:2,2" is the first header past the middle byte; text mode reads "3", the
+    # second row of the record before it, and then "3 H:2,2", so no child may start at it
+    half = records(3550)
+    path = tmp_path / "split-cr.txt"
+    path.write_bytes(f"{half}2 1 H:3,2 [2]\n3\r3 H:2,2\n{half}".encode())
+    assert len(half) <= path.stat().st_size // 2 < len(half) + len("2 1 H:3,2 [2]\n")
+    assert_split_is_serial(path, [["parse", "--format", "jsonl"]], split=False)
+
+
 @pytest.mark.parametrize("block", [8, 1024, 8192])
 @pytest.mark.parametrize("late", [0, 1, 30, 1500])
 def test_invalid_utf8_in_the_second_half_fails_as_serially(tmp_path, block, late):
