@@ -422,7 +422,7 @@ def _write_rows(runs: Iterable[list], jsonl: bool, write: Callable, counts: dict
         flags = [r.consistent for r in run]
         counts["inconsistent"] += flags.count(False)
         rows = [
-            row % (r[0], "null" if r[4] is None else r[4], "true" if ok else "false", r[2], r[3], r[8], r[1])
+            row % (r[0], "null" if r[4] is None else r[4], "true" if ok else "false", r[2], r[3], r[5], r[1])
             for r, ok in zip(run, flags)
         ]
         write("".join(rows))

@@ -242,20 +242,14 @@ def _number(word: str) -> int:
     return int(word)
 
 
-class KSRecord(
-    namedtuple(
-        "KSRecord",
-        "ambient_dim vertex_count h11 h21 chi m_points n_points matrix line",
-        defaults=(None, None, None, (), 0),
-    )
-):
-    """One reflexive-polytope list record reduced to its Hodge data.
+class KSRecord(namedtuple("KSRecord", "ambient_dim vertex_count h11 h21 chi line", defaults=(None, 0))):
+    """One reflexive-polytope list record reduced to its header's numbers.
 
-    ``chi`` and the ``(a, b)`` pairs ``m_points`` and ``n_points`` are
-    ``None`` when the header omits them.  ``matrix`` retains the vertex
-    block verbatim (one string per row); its geometric content is opaque
-    here.  ``line`` is the 1-based header line number in the source and
-    never participates in equality or hashing between records.
+    ``chi`` is ``None`` when the header omits it.  The header's ``M:`` and
+    ``N:`` pairs and the vertex rows are checked but not kept: their
+    geometric content is opaque here.  ``line`` is the 1-based header line
+    number in the source and never participates in equality or hashing
+    between records.
     """
 
     __slots__ = ()
@@ -304,9 +298,10 @@ def parse_ks(lines: Iterable[str], strict: bool = False) -> Iterator[KSRecord | 
     """Parse header/matrix records from line-oriented text, streaming.
 
     Each header ``<dim> <count> [M:a b] [N:c d] H:<h11>,<h21> [chi]`` is
-    followed by ``dim`` rows of ``count`` integers, retained verbatim.
-    Malformed lines yield :class:`KSParseError` values carrying the line
-    number, and parsing resumes on the next line.  A record whose ``chi``
+    followed by ``dim`` rows of ``count`` integers.  The rows and the
+    ``M:`` and ``N:`` pairs are checked, not kept.  Malformed lines yield
+    :class:`KSParseError` values carrying the line number, and parsing
+    resumes on the next line.  A record whose ``chi``
     contradicts ``2*(h11 - h21)`` is an error under ``strict``; otherwise
     it is yielded with its ``consistent`` flag set to ``False``.
 
@@ -345,28 +340,24 @@ def parse_ks_runs(
                 run.append(KSParseError(line, _TOO_LONG))
                 continue
             if (good := _good_rows(words[i : i + dim], count)) == end - i < dim:
-                # good up to the end of buf: read on a block at a time while the rows
-                # stay good, buf kept from the header on and only new lines checked
+                # good up to the end of buf: each next block replaces buf while the rows stay
+                # good, and i stays the first row's index, below 0 once its block is gone
                 yield run
-                del buf[: i - 1], words[: i - 1]
-                run, base, i = [], base + i - 1, 1
-                while good == len(buf) - 1 < dim and (more := _read(lines)):
-                    buf += more
-                    words += (found := _row_words(more))
-                    good += _good_rows(found[: dim - good], count)
-                end = len(buf)
+                run = []
+                while good == end - i < dim and (buf := _read(lines)):
+                    base, i, words, end = base + end, i - end, _row_words(buf), len(buf)
+                    good += _good_rows(words[: dim - good], count)
             if good < dim:  # parsing resumes at the bad row
                 message = _ENDED if i + good == end else _BAD_ROW.format(count, line + 1 + good)
                 run.append(KSParseError(line, message))
                 i += good
                 continue
-            matrix = buf[i : i + dim]
             i += dim
             try:  # int() and str() also refuse what passes a process limit below _MAX_DIGITS
                 h11, h21 = number(h11), number(h21)
                 chi = None if chi is None else number(chi)
-                m_points = None if m1 is None else (number(m1), number(m2))
-                n_points = None if n1 is None else (number(n1), number(n2))
+                for word in filter(None, (m1, m2, n1, n2)):  # checked, not kept
+                    number(word)
                 if h11 < 1:
                     run.append(KSParseError(line, f"h11 must be >= 1, got {h11}"))
                 elif strict and chi is not None and chi != (twice := 2 * (h11 - h21)):
@@ -374,7 +365,7 @@ def parse_ks_runs(
                     message = _TOO_LONG if too_long else f"chi = {chi} contradicts 2*(h11 - h21) = {twice}"
                     run.append(KSParseError(line, message))
                 else:
-                    fields = (dim, count, h11, h21, chi, m_points, n_points, tuple(matrix), line)
+                    fields = (dim, count, h11, h21, chi, line)
                     run.append(tuple.__new__(KSRecord, fields))  # no keyword matching
             except ValueError:
                 run.append(KSParseError(line, _TOO_LONG))
@@ -387,10 +378,8 @@ def parse_ks_file_runs(path: str, strict: bool = False) -> Iterator[list[KSRecor
 
     A regular file of at least ``_SPLIT_FLOOR`` bytes is split at a header line past its middle
     byte: a forked child parses from there while this process walks the file up to it.  The items
-    are the serial walk's, in its order, but a record from the second half holds only what the
-    ``ks`` commands print: its ``m_points``, ``n_points`` and ``matrix`` are left at their
-    defaults.  The runs may be cut elsewhere.  Input that is not UTF-8 raises where the serial
-    walk would, after the same items.
+    are the serial walk's, in its order; the runs may be cut elsewhere.  Input that is not UTF-8
+    raises where the serial walk would, after the same items.
     """
     with open(path, encoding="utf-8") as handle:
         split = _split_point(handle, path)
@@ -475,26 +464,23 @@ def _halves(handle, path: str, strict: bool, offset: int, head: int) -> Iterator
 
 def _ship(path: str, strict: bool, offset: int, head: int, out) -> None:
     """In the child: parse the file from byte ``offset``, line ``head + 1``, and write each run to
-    ``out`` as a length-prefixed ``marshal`` blob of what the ``ks`` commands print: a record as
-    ``(ambient_dim, vertex_count, h11, h21, chi, line)``, an error as ``(line, message)``."""
+    ``out`` as a length-prefixed ``marshal`` blob of its items as plain tuples: a record's six
+    fields, an error's two."""
     with open(path, encoding="utf-8") as handle:
         handle.seek(offset)
         for run in parse_ks_runs(handle, strict, head):
-            blob = marshal.dumps([(r[0], r[1], r[2], r[3], r[4], r[8]) if len(r) == 9 else (*r,) for r in run])
+            blob = marshal.dumps([(*item,) for item in run])
             out.write(len(blob).to_bytes(8, "little") + blob)
     out.flush()
 
 
 def _shipped(out) -> Iterator[list[KSRecord | KSParseError]]:
-    """The child's runs back from ``out``, each shipped record as a :class:`KSRecord`."""
+    """The child's runs back from ``out``, each item rebuilt from its tuple."""
     new, record, error = tuple.__new__, KSRecord, KSParseError
     out.seek(0)
     while size := out.read(8):
         items = marshal.loads(out.read(int.from_bytes(size, "little")))
-        yield [
-            new(record, (i[0], i[1], i[2], i[3], i[4], None, None, (), i[5])) if len(i) == 6 else new(error, i)
-            for i in items
-        ]
+        yield [new(record if len(i) == 6 else error, i) for i in items]
 
 
 def filter_hodge_difference(items: Iterable[KSRecord], target: int) -> Iterator[KSRecord]:

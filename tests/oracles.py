@@ -35,7 +35,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from cybordism.cohomology import (
     ProjectiveProduct,
@@ -513,9 +513,9 @@ def parse_ks_by_lines(
         except ValueError:
             yield KSParseError(line=lineno, message=_TOO_LONG)
             continue
-        matrix: list[str] = []
+        rows = 0
         bad_row: str | None = None
-        while len(matrix) < ambient_dim:
+        while rows < ambient_dim:
             try:
                 row_lineno, row_raw = next(numbered)
             except StopIteration:
@@ -523,7 +523,7 @@ def parse_ks_by_lines(
                 break
             row = row_raw.rstrip("\n")
             if _MATRIX_ROW_RE.match(row) and len(row.split()) == vertex_count:
-                matrix.append(row)
+                rows += 1
             else:
                 bad_row = f"expected a row of {vertex_count} integers at line {row_lineno}"
                 pushed = (row_lineno, row_raw)
@@ -532,15 +532,15 @@ def parse_ks_by_lines(
             yield KSParseError(line=lineno, message=bad_row)
             continue
         try:
+            for name in ("m1", "m2", "n1", "n2"):  # read, to refuse what int() refuses, then dropped
+                if match[name] is not None:
+                    int(match[name])
             record = KSRecord(
                 ambient_dim=ambient_dim,
                 vertex_count=vertex_count,
                 h11=int(match["h11"]),
                 h21=int(match["h21"]),
                 chi=int(match["chi"]) if match["chi"] is not None else None,
-                m_points=(int(match["m1"]), int(match["m2"])) if match["m1"] else None,
-                n_points=(int(match["n1"]), int(match["n2"])) if match["n1"] else None,
-                matrix=tuple(matrix),
                 line=lineno,
             )
         except ValueError:
@@ -614,17 +614,26 @@ def as_dict(record: KSRecord) -> dict:
     }
 
 
-def format_ks(record: KSRecord) -> str:
-    """A record as the header-plus-matrix text that ``parse_ks`` reads back."""
+def format_ks(
+    record: KSRecord,
+    m_points: tuple[int, int] | None = None,
+    n_points: tuple[int, int] | None = None,
+    rows: Sequence[str] | None = None,
+) -> str:
+    """A record as the header-plus-matrix text that ``parse_ks`` reads back, with the ``M:`` and
+    ``N:`` pairs and the rows it does not keep; the rows default to ``ambient_dim`` rows of
+    ``vertex_count`` zeros."""
     bits = [f"{record.ambient_dim} {record.vertex_count}"]
-    if record.m_points is not None:
-        bits.append(f"M:{record.m_points[0]} {record.m_points[1]}")
-    if record.n_points is not None:
-        bits.append(f"N:{record.n_points[0]} {record.n_points[1]}")
+    if m_points is not None:
+        bits.append(f"M:{m_points[0]} {m_points[1]}")
+    if n_points is not None:
+        bits.append(f"N:{n_points[0]} {n_points[1]}")
     bits.append(f"H:{record.h11},{record.h21}")
     if record.chi is not None:
         bits.append(f"[{record.chi}]")
-    return "\n".join((" ".join(bits), *record.matrix))
+    if rows is None:
+        rows = [" ".join(["0"] * record.vertex_count)] * record.ambient_dim
+    return "\n".join((" ".join(bits), *rows))
 
 
 def as_mapping(cert: GeneratorCertificate) -> dict[Partition, int]:

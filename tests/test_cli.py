@@ -490,7 +490,7 @@ def ks_records(draw):
     chi = draw(st.sampled_from([None, 0, 1, -1, -(10**40), "consistent"]))
     chi = 2 * (h11 - h21) if chi == "consistent" else chi
     dim = draw(st.integers(0, 2))
-    return KSRecord(dim, 2, h11, h21, chi, matrix=("1 -1",) * dim)
+    return KSRecord(dim, 2, h11, h21, chi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -633,16 +633,24 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="os.wait4 is POSIX only")
 def test_ks_parse_jsonl_memory_stays_flat(tmp_path):
+    # five times the records; and one header over 10^5 rows, which end its matrix early,
+    # then over 10^6 rows, which fill it: the peak rises by less than 8 MB either time
     sample = (DATA / "ks_sample.txt").read_text()
-    peaks = []
-    for records in (2 * 10**4, 10**5):
-        path = tmp_path / f"ks-{records}.txt"
-        path.write_text(sample * (records // 12))
-        argv = [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"]
-        code, peak = probe(PEAK_RSS.format(argv=argv))
-        assert code == 0
-        peaks.append(peak * (1 if sys.platform == "darwin" else 1024))  # bytes on macOS, else KiB
-    assert peaks[1] - peaks[0] < 8 * 2**20, peaks
+    long = "1000000 5 H:1,1\n"
+    pairs = (
+        ((sample * (records // 12), 0) for records in (2 * 10**4, 10**5)),
+        ((long + " 1 -2  3 -4  5\n" * rows, code) for rows, code in ((10**5, 1), (10**6, 0))),
+    )
+    for texts in pairs:
+        peaks = []
+        for text, expected in texts:
+            path = tmp_path / "ks.txt"
+            path.write_text(text)
+            argv = [sys.executable, "-m", "cybordism", "ks", "parse", "--input", str(path), "--format", "jsonl"]
+            code, peak = probe(PEAK_RSS.format(argv=argv))
+            assert code == expected
+            peaks.append(peak * (1 if sys.platform == "darwin" else 1024))  # bytes on macOS, else KiB
+        assert peaks[1] - peaks[0] < 8 * 2**20, peaks
 
 
 def test_ks_non_utf8_input_fails_cleanly(capsys, tmp_path):

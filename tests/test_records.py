@@ -40,9 +40,9 @@ def test_records_are_immutable_values(cls):
 def test_defaults_and_positional_construction():
     record = KSRecord(4, 5, 1, 101)
     assert (record.ambient_dim, record.vertex_count, record.h11, record.h21) == (4, 5, 1, 101)
-    assert (record.chi, record.m_points, record.n_points, record.matrix, record.line) == (
-        None, None, None, (), 0,
-    )
+    assert (record.chi, record.line) == (None, 0)
+    # declared: a record holds its header's numbers and its line alone
+    assert KSRecord._fields == ("ambient_dim", "vertex_count", "h11", "h21", "chi", "line")
     assert partitions.DivisibilityReport(5).entries == ()
     assert partitions.DivisibilityReport(5).passed
 

@@ -231,9 +231,9 @@ def test_parse_sample_file():
     assert first.ambient_dim == 4
     assert first.vertex_count == 5
     assert first.h11 == 1 and first.h21 == 101 and first.chi == -200
-    assert first.m_points == (126, 5) and first.n_points == (6, 5)
-    assert first.line == 1
-    assert len(first.matrix) == 4
+    # the header's M: and N: pairs are read but not kept, and its four rows are taken
+    assert tuple(first) == (4, 5, 1, 101, -200, 1)
+    assert records[1].line == 6
     assert all(r.consistent for r in records)
 
 
@@ -289,6 +289,10 @@ def test_over_long_header_number_is_one_positioned_error():
     header = "4 5 H:" + "9" * 4300 + ",1 [2]"
     (strict,) = parse_ks([header, *["0 0 0 0 0"] * 4], strict=True)
     assert strict == KSParseError(1, "header number has too many digits")
+    # M: and N: numbers are not kept, but one of 4301 digits is refused all the same
+    for tag in ("M:", "N:"):
+        (item,) = parse_ks([f"4 5 {tag}{'7' * 4301} 5 H:1,1", *["0 0 0 0 0"] * 4])
+        assert item == KSParseError(1, "header number has too many digits")
 
 
 def test_header_numbers_past_the_default_digit_limit_are_refused_with_the_limit_lifted():
@@ -321,9 +325,21 @@ def test_truncated_matrix_at_eof():
     assert "ended" in items[0].message
 
 
-def test_round_trip_identity():
+PAIRS = st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
+
+
+def header_extras(dim, count):
+    """The ``M:`` and ``N:`` pairs and the ``dim`` rows of ``count`` integers that ``format_ks``
+    writes around a record, which the parser reads and does not keep."""
+    row = st.lists(st.integers(-99, 99).map(str), min_size=count, max_size=count).map(" ".join)
+    return st.tuples(PAIRS, PAIRS, st.lists(row, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_round_trip_identity(data):
     records = [r for r in parse_ks(read_lines("ks_sample.txt")) if isinstance(r, KSRecord)]
-    text = "\n".join(format_ks(r) for r in records)
+    text = "\n".join(format_ks(r, *data.draw(header_extras(r.ambient_dim, r.vertex_count))) for r in records)
     reparsed = list(parse_ks(io.StringIO(text)))
     assert all(isinstance(r, KSRecord) for r in reparsed)
     assert reparsed == records  # line numbers are excluded from equality
@@ -331,24 +347,22 @@ def test_round_trip_identity():
 
 @st.composite
 def ks_records(draw):
+    """A record, and the pairs and rows ``format_ks`` writes around it."""
     dim, count = draw(st.integers(0, 5)), draw(st.integers(1, 6))
-    entries = st.lists(st.integers(-99, 99).map(str), min_size=count, max_size=count)
-    pairs = st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))
-    return KSRecord(
+    record = KSRecord(
         ambient_dim=dim,
         vertex_count=count,
         h11=draw(st.integers(1, 10**6)),
         h21=draw(st.integers(0, 10**6)),
         chi=draw(st.none() | st.integers(-(10**6), 10**6)),
-        m_points=draw(pairs),
-        n_points=draw(pairs),
-        matrix=tuple(" ".join(draw(entries)) for _ in range(dim)),
     )
+    return record, *draw(header_extras(dim, count))
 
 
 @given(ks_records())
-def test_format_then_parse_round_trips(record):
-    assert list(parse_ks(format_ks(record).splitlines())) == [record]
+def test_format_then_parse_round_trips(drawn):
+    record, *extras = drawn
+    assert list(parse_ks(format_ks(record, *extras).splitlines())) == [record]
 
 
 def parsed(lines, strict=False) -> list[tuple]:
@@ -455,7 +469,7 @@ def test_each_line_is_matched_as_a_header_at_most_once(monkeypatch):
     monkeypatch.setattr(toricdata, "_HEADER_RE", counter)
     items = parsed(lines)
     assert items == parsed_by_lines(lines)
-    good_rows = sum(len(item.matrix) for kind, _, item in items if kind is KSRecord)
+    good_rows = sum(item.ambient_dim for kind, _, item in items if kind is KSRecord)
     assert counter.calls <= len(lines) - good_rows
 
 
@@ -518,19 +532,19 @@ def test_rows_parsed_again_can_be_pushed_back_again():
     items = parsed(lines)
     assert items == parsed_by_lines(lines)
     assert [line for _, line, _ in items] == [1, 2, 3, 4, 5, 6, 7]
-    assert items[-1][2].matrix == ("8",)
+    assert items[-1][:2] == (KSRecord, 7)  # and line 8 is its row
 
 
 def test_long_matrices_across_row_chunks():
     good = ["100 1 H:1,1", *["-1"] * 100, "2 1 H:2,1", "1", "1"]
     assert parsed(good) == parsed_by_lines(good)
-    assert [len(r.matrix) for r in parse_ks(good)] == [100, 2]
+    assert [(type(r), r.line) for r in parse_ks(good)] == [(KSRecord, 1), (KSRecord, 102)]
     # a bad row 70 rows in: the rows after it are parsed again as lines
     bad = ["100 1 H:1,1", *["1"] * 69, "x", *["1"] * 30, "1 1 H:1,1", "7"]
     items = parsed(bad)
     assert items == parsed_by_lines(bad)
     assert items[0][2].message == "expected a row of 1 integers at line 71"
-    assert items[-1][2].matrix == ("7",)
+    assert items[-1][:2] == (KSRecord, 102)  # and line 103 is its row
 
 
 def test_count_zero_has_no_matrix_row():
