@@ -9,7 +9,7 @@ domain or verification failures exit 1, usage errors exit 2.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import io
 import json
 import os
@@ -18,6 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, partial
 from itertools import chain
+from types import SimpleNamespace
 
 # Each handler imports the library modules it uses when it runs, so a
 # command starts up with only those; here they are imported for type
@@ -25,8 +26,13 @@ from itertools import chain
 # so a rebinding of a module attribute is seen.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from . import toricdata
     from .partitions import Partition
+
+    # what parse returns: argparse's namespace, or the same attributes read without argparse
+    Args = argparse.Namespace | SimpleNamespace
 
 # Largest accepted --max of the per-n loops.  As commands, gn at 10^5 takes
 # 1.0-1.3 s and 66 MB, power-check at 400 0.65-0.83 s and 45 MB (peak RSS;
@@ -49,7 +55,7 @@ def _per_n(top: int, budget: int, name: str) -> range:
     return range(3, top + 1)
 
 
-def _cmd_gn(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_gn(args: Args) -> tuple[dict, str]:
     """table of milnor factors and generator s-numbers"""
     from . import numthy
 
@@ -65,7 +71,7 @@ def _cmd_gn(args: argparse.Namespace) -> tuple[dict, str]:
     return {"rows": rows}, "pass"
 
 
-def _cmd_alpha(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_alpha(args: Args) -> tuple[dict, str]:
     """s-number magnitudes over the capped partitions of n, both routes"""
     from . import cohomology
 
@@ -76,7 +82,7 @@ def _cmd_alpha(args: argparse.Namespace) -> tuple[dict, str]:
     return {"n": args.n, "rows": rows}, "pass" if report.passed else "fail"
 
 
-def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_gcd(args: Args) -> tuple[dict, str]:
     """verify the gcd identity with prime-power case attribution"""
     from . import generators
 
@@ -92,7 +98,7 @@ def _cmd_gcd(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if report.passed else "fail"
 
 
-def _cmd_certificate(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_certificate(args: Args) -> tuple[dict, str]:
     """integer generator certificate with independent recheck"""
     from . import generators, numthy
 
@@ -113,7 +119,7 @@ def _cmd_certificate(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass" if ok else "fail"
 
 
-def _cmd_s_number(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_s_number(args: Args) -> tuple[dict, str]:
     """s-number of one hypersurface via the cohomology route"""
     from . import cohomology, partitions
 
@@ -129,7 +135,7 @@ def _chern_index_label(omega: Partition) -> str:
     )
 
 
-def _cmd_chern(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_chern(args: Args) -> tuple[dict, str]:
     """all Chern numbers of one hypersurface"""
     from . import cohomology, partitions
 
@@ -149,7 +155,7 @@ def _cmd_chern(args: argparse.Namespace) -> tuple[dict, str]:
     return results, "pass"
 
 
-def _cmd_power_check(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_power_check(args: Args) -> tuple[dict, str]:
     """multinomial divisibility pattern for 3 <= n <= max"""
     from . import partitions
 
@@ -162,7 +168,7 @@ def _cmd_power_check(args: argparse.Namespace) -> tuple[dict, str]:
     return {"rows": rows}, "pass" if all(report.passed for report in reports) else "fail"
 
 
-def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_polytope(args: Args) -> tuple[dict, str]:
     """product-of-simplices polytope data and reflexivity verdict"""
     from . import partitions, toricdata
 
@@ -183,7 +189,7 @@ def _cmd_polytope(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _read_ks(
-    args: argparse.Namespace, counts: dict, key: str, errors: list | None = None, usable: bool = False
+    args: Args, counts: dict, key: str, errors: list | None = None, usable: bool = False
 ) -> Iterator[list]:
     """The input's records a run at a time, counted under ``key``; with ``usable`` only the consistent
     ones, the others counted as "inconsistent".  Error items are counted as "errors", their rows put
@@ -225,14 +231,14 @@ def _ks_status(counts: dict, key: str) -> str:
     return "partial" if bad and good else "fail" if bad else "pass"
 
 
-def _cmd_ks_parse(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
+def _cmd_ks_parse(args: Args) -> tuple[dict, Callable[[], str]]:
     """parse records, reporting positioned errors"""
     errors, counts = [], {"records": 0, "inconsistent": 0, "errors": 0}
     results = {"records": _read_ks(args, counts, "records", errors), "errors": errors, "counts": counts}
     return results, partial(_ks_status, counts, "records")
 
 
-def _cmd_ks_filter(args: argparse.Namespace) -> tuple[dict, Callable[[], str]]:
+def _cmd_ks_filter(args: Args) -> tuple[dict, Callable[[], str]]:
     """keep records with the requested Hodge difference"""
     from . import toricdata
 
@@ -249,7 +255,7 @@ def _side_dict(side: toricdata.RangeSide) -> dict:
     return {**side._asdict(), "h11_min": side.h11_min, "h11_max": side.h11_max, "out_of_range": flagged}
 
 
-def _cmd_ks_ranges(args: argparse.Namespace) -> tuple[dict, str]:
+def _cmd_ks_ranges(args: Args) -> tuple[dict, str]:
     """summarise achieved h11 values for both signs"""
     from . import toricdata
 
@@ -274,7 +280,7 @@ _OPTIONS = {
     "--n": {"type": integer, "required": True},
     "--partition": {"required": True, "help": "comma-separated parts, e.g. 1,1,3"},
     "--input": {"required": True, "help": "input file, or - for stdin"},
-    "--strict": {"action": "store_true", "help": "treat chi mismatches as errors"},
+    "--strict": {"action": "store_true", "default": False, "help": "treat chi mismatches as errors"},
     "--target": {"type": integer, "required": True, "choices": [1, -1]},
 }
 
@@ -300,16 +306,40 @@ _GROUPS = {"ks": "Hodge-number record pipeline"}
 PROG = "cybordism"
 
 
+def _arguments(formats: tuple[str, ...], options: tuple[str, ...]) -> dict[str, dict]:
+    """A leaf's options as ``add_argument`` takes them: its own, then ``--format``."""
+    return {
+        **{option: _OPTIONS[option] for option in options},
+        "--format": {"choices": formats, "default": "json", "help": "output format"},
+    }
+
+
 def _fill(leaf: argparse.ArgumentParser, handler: Callable, formats: tuple[str, ...], options) -> None:
     leaf.set_defaults(handler=handler)
-    for option in options:
-        leaf.add_argument(option, **_OPTIONS[option])
-    leaf.add_argument("--format", choices=formats, default="json", help="output format")
+    for option, declared in _arguments(formats, options).items():
+        leaf.add_argument(option, **declared)
+
+
+def _argument_parser(**kwargs) -> argparse.ArgumentParser:
+    """An ``ArgumentParser``, of a class whose subparsers share it, that reads ``--opt=--`` as an
+    option without its value, a usage error.  Python 3.11 and 3.12 read it as an empty list, which
+    no option holds and no handler takes, and 3.13 as the value "--"."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def parse_known_args(self, args=None, namespace=None):
+            parsed, extra = super().parse_known_args(args, namespace)
+            for action in self._actions:
+                if isinstance(getattr(parsed, action.dest, None), list):
+                    self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+            return parsed, extra
+
+    return Parser(**kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree, as help and usage errors show it."""
-    parser = argparse.ArgumentParser(
+    parser = _argument_parser(
         prog=PROG,
         description=(
             "Exact s-numbers and Chern numbers of Calabi-Yau hypersurfaces in "
@@ -328,18 +358,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse(argv: Sequence[str]) -> argparse.Namespace:
+def _read(argv: Sequence[str], handler: Callable, arguments: dict[str, dict]) -> SimpleNamespace | None:
+    """What a leaf's parser reads from ``argv``, the words after the leaf's own, when each word is
+    one of ``arguments`` spelt out in full and given once, with its value, if it takes one, in the
+    next word; None for any other argv.  A value may start with "-" only as "-" or as "-" and
+    digits, which argparse takes as a value, since no option of a leaf looks like a number."""
+    values = {}
+    words = iter(argv)
+    for word in words:
+        declared = arguments.get(word)
+        if declared is None or word in values:
+            return None
+        if declared.get("action") == "store_true":
+            values[word] = True
+            continue
+        value = next(words, "--")  # a missing value is an error
+        if value.startswith("-") and value != "-" and not value[1:].isdecimal():
+            return None
+        try:
+            value = declared.get("type", str)(value)
+        except (TypeError, ValueError):  # what argparse reports as an invalid value
+            return None
+        if "choices" in declared and value not in declared["choices"]:
+            return None
+        values[word] = value
+    for option, declared in arguments.items():
+        if option not in values:
+            if declared.get("required"):
+                return None
+            values[option] = declared.get("default")
+    dests = {option[2:].replace("-", "_"): value for option, value in values.items()}
+    return SimpleNamespace(handler=handler, **dests)
+
+
+def parse(argv: Sequence[str]) -> Args:
     """``build_parser().parse_args(argv)``, building only the leaf that argv names.
 
-    The full tree hands a leaf's parser every word after the leaf's command
-    words, so when argv begins with them that parser alone is built, as the
-    tree builds it, and its help and usage errors are the tree's.  A word it
-    leaves over is an error of the whole tree, as is an argv that names no
-    leaf: both go to the full parser, which reports them.
+    An argv of a leaf's words and then its options, each given once in full with
+    its value in the next word, is read from their declaration alone, without
+    argparse.  For any other argv that begins with a leaf's words, that leaf's
+    parser alone is built, as the full tree builds it and hands it every word
+    after them, so its help and usage errors are the tree's.  A word it leaves
+    over is an error of the whole tree, as is an argv that names no leaf: both
+    go to the full parser, which reports them.
     """
     for words, handler, formats, options in _LEAVES:
         if tuple(argv[: len(words)]) == words:
-            leaf = argparse.ArgumentParser(prog=" ".join((PROG, *words)))
+            args = _read(argv[len(words) :], handler, _arguments(formats, options))
+            if args is not None:
+                return args
+            leaf = _argument_parser(prog=" ".join((PROG, *words)))
             _fill(leaf, handler, formats, options)
             args, extra = leaf.parse_known_args(argv[len(words) :])
             if not extra:
@@ -428,7 +496,7 @@ def _write_rows(runs: Iterable[list], jsonl: bool, write: Callable, counts: dict
         write("".join(rows))
 
 
-def _parameters(args: argparse.Namespace) -> dict:
+def _parameters(args: Args) -> dict:
     skip = {"command", "ks_command", "format", "handler"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
@@ -494,6 +562,12 @@ def main() -> None:
         # the flush at exit cannot raise again, and exit 1 quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    finally:
+        # The exit-time collections skip a frozen heap, which the OS frees at once; atexit handlers
+        # and the flush of the streams still run, and a usage error ends the same way.  -X dev
+        # keeps the full teardown, whose ResourceWarning names a file left open.
+        if not sys.flags.dev_mode:
+            gc.freeze()
     sys.exit(code)
 
 

@@ -389,14 +389,17 @@ def parse_ks_file_runs(path: str, strict: bool = False) -> Iterator[list[KSRecor
 def _split_point(handle, path: str) -> tuple[int, int] | None:
     """Where the file open as ``handle`` is split: the byte offset of the split line and the number
     of lines before it.  None when the file is parsed serially: it is not a regular file of
-    ``_SPLIT_FLOOR`` bytes, the platform has no ``os.fork``, this process has another thread, no
-    header follows the middle byte, or a carriage return, which text mode reads as a line break,
-    comes before the split line ends.  The serial walk always starts a record at a header, as a
-    header is never a row of integers."""
+    ``_SPLIT_FLOOR`` bytes, the platform has no ``os.fork``, this process may run on one CPU
+    alone or has another thread, no header follows the middle byte, or a carriage return, which
+    text mode reads as a line break, comes before the split line ends.  The serial walk always
+    starts a record at a header, as a header is never a row of integers."""
     import _thread
 
     info = os.fstat(handle.fileno())
     if not (S_ISREG(info.st_mode) and info.st_size >= _SPLIT_FLOOR and hasattr(os, "fork")) or _thread._count():
+        return None
+    cpus = _cpus()
+    if cpus is not None and len(cpus) < 2:  # the halves would take turns on one CPU
         return None
     with open(path, "rb") as raw:
         raw.seek(info.st_size // 2)
@@ -427,9 +430,16 @@ def _halves(handle, path: str, strict: bool, offset: int, head: int) -> Iterator
     run past line ``head``, which holds the split line's item, it reaps the child: when the child
     is done, that run's items up to line ``head`` and then the child's runs replace the rest of
     the walk.  When the child fails, or no temporary file or process can be had, the walk goes on.
+
+    This process keeps the first of the CPUs it may run on and the child takes the others, since
+    a host that does not balance load leaves a forked child on its parent's CPU.  The mask read
+    here is this process's again when the runs end, however they end.
     """
     from tempfile import TemporaryFile
 
+    cpus = _cpus() or set()
+    own = set(sorted(cpus)[:1])
+    _place(own)
     pid = shipped = None
     try:
         shipped = TemporaryFile()
@@ -439,6 +449,7 @@ def _halves(handle, path: str, strict: bool, offset: int, head: int) -> Iterator
     if pid == 0:  # the child ships its half and leaves, with status 0 when all went well
         status = 1
         try:
+            _place(cpus - own)
             _ship(path, strict, offset, head, shipped)
             status = 0
         finally:
@@ -460,6 +471,22 @@ def _halves(handle, path: str, strict: bool, offset: int, head: int) -> Iterator
             os.waitpid(pid, 0)
         if shipped is not None:
             shipped.close()
+        _place(cpus)
+
+
+def _cpus() -> set[int] | None:
+    """The CPUs this process may run on, or None on a platform that cannot say."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def _place(cpus: set[int]) -> None:
+    """Run this process on ``cpus``.  Where it cannot be placed, or ``cpus`` is empty, it runs
+    wherever it ran."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
 
 
 def _ship(path: str, strict: bool, offset: int, head: int, out) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import cybordism
@@ -303,19 +303,30 @@ SMOKE = [
 ]
 
 
-def test_no_command_loads_dataclasses_inspect_or_typing():
-    # no command needs these three, and together they are a fifth of the
-    # start-up imports; -S keeps site, which may import typing itself, out
+def smoke_loads(modules: Sequence[str]) -> dict:
+    """Which of ``modules`` are loaded after each smoke argv, run in turn in one process; -S
+    keeps site, which may import any of them itself, out."""
     code = f"""
 import json, sys
 from cybordism import cli
 loaded = {{}}
 for argv in {SMOKE!r}:
     cli.run(argv)
-    loaded[" ".join(argv)] = [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]
+    loaded[" ".join(argv)] = [m for m in {tuple(modules)!r} if m in sys.modules]
 print(json.dumps(loaded))
 """
-    assert probe(code, ["-S"]) == {" ".join(argv): [] for argv in SMOKE}
+    return probe(code, ["-S"])
+
+
+def test_no_command_loads_dataclasses_inspect_or_typing():
+    # no command needs these three, and together they are a fifth of the start-up imports
+    assert smoke_loads(["dataclasses", "inspect", "typing"]) == {" ".join(argv): [] for argv in SMOKE}
+
+
+def test_no_well_formed_command_loads_argparse():
+    # each smoke argv is read from the option declaration alone; argparse, with the gettext
+    # and locale it imports, is loaded only for help, usage errors and other spellings
+    assert smoke_loads(["argparse", "gettext", "locale"]) == {" ".join(argv): [] for argv in SMOKE}
 
 
 def test_package_exports_resolve_lazily():
@@ -878,30 +889,50 @@ LEAVES = dict(_leaf_parsers(cli.build_parser()))
 LEAF_WORDS = {_command(argv): argv[: 2 if argv[0] == "ks" else 1] for argv in SMOKE}
 
 
+# values that start with "-": argparse reads "-" and "-1" as values, and the others as options
+DASH_VALUES = st.sampled_from(["-", "-1", "-1,2", "-.5", "--"])
+
+
+def spelt(draw, option: str, value: str | None) -> list[str]:
+    """``option`` and its value as argv words: mostly in full, the value in the next word, and
+    otherwise abbreviated or as ``option=value``, which only argparse reads."""
+    how = draw(st.sampled_from(["full"] * 6 + ["abbreviated", "joined"]))
+    if how == "abbreviated":
+        option = option[: draw(st.integers(2, len(option) - 1))]  # "--" itself included
+    if value is None:
+        return [option]
+    return [f"{option}={value}"] if how == "joined" else [option, value]
+
+
 @st.composite
 def cli_argv(draw):
-    """A leaf's words, each of its options mostly present, and maybe a --format and a stray word."""
+    """A leaf's words, each of its options mostly present, maybe twice, and maybe a --format and a
+    stray word; the spellings and the values that argparse alone reads are drawn too."""
     name = draw(st.sampled_from(sorted(LEAVES)))
     argv = list(LEAF_WORDS[name])
     for action in LEAVES[name]._actions:
         option = action.option_strings[-1] if action.option_strings else None
         if option in ("--help", "--format", None) or draw(st.integers(0, 5)) == 5:
             continue
-        argv.append(option)
-        if action.nargs != 0:
-            argv.append(draw(OPTION_WORDS[option]))
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 2]))):
+            value = None
+            if action.nargs != 0:
+                value = draw(DASH_VALUES if draw(st.integers(0, 5)) == 5 else OPTION_WORDS[option])
+            argv += spelt(draw, option, value)
     fmt = draw(st.sampled_from([None, None, None, "json", "csv", "jsonl", "xml"]))
     if fmt is not None:
-        argv += ["--format", fmt]
+        argv += spelt(draw, "--format", fmt)
     if draw(st.integers(0, 9)) == 9:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["stray", "--bogus", "--n", "--"])))
     return argv, fmt
 
 
 def outcome(call, argv):
-    """``call(argv)``'s result, or its exit code, with what it printed to stdout and stderr."""
+    """``call(argv)``'s result, or its exit code, with what it printed to stdout and stderr;
+    stdin is empty, so ``--input -`` reads no records and never waits."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    empty = mock.patch.object(sys, "stdin", io.StringIO())
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), empty:
         try:
             result = call(argv)
         except SystemExit as exc:
@@ -915,17 +946,30 @@ def tree_options(argv):
     return {key: value for key, value in args.items() if key not in ("command", "ks_command")}
 
 
+def read(argv):
+    """What parse's reader makes of argv, without argparse: a namespace, or None."""
+    for words, handler, formats, options in cli._LEAVES:
+        if tuple(argv[: len(words)]) == words:
+            return cli._read(argv[len(words) :], handler, cli._arguments(formats, options))
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(cli_argv())
+# Python 3.11 and 3.12 read an option's value "--" after "=" as an empty list
+@example((["alpha", "--n=--"], None))
+@example((["ks", "parse", "--input=--", "--strict"], "json"))
 def test_any_argv_ends_in_exit_2_or_an_envelope(drawn):
     argv, fmt = drawn
     code, text, err = outcome(run, argv)
     if code == 2:
         assert text == "", argv
-        # the usage error is the full parser's, word for word
+        # the usage error is the full parser's, word for word, and the reader hands it on
         assert (code, text, err) == outcome(tree_options, argv), argv
+        assert read(argv) is None, argv
         return
     assert vars(cli.parse(argv)) == tree_options(argv), argv
+    event("read without argparse" if read(argv) else "read by argparse")
     assert code in (0, 1), argv
     if fmt in ("csv", "jsonl") and not text.startswith("{\n"):
         # an accepted csv or jsonl run prints its rows, not an envelope
@@ -940,8 +984,9 @@ def test_any_argv_ends_in_exit_2_or_an_envelope(drawn):
 
 
 def _usage_cases():
-    """Per leaf: help, a missing option, a bad value, an abbreviation, an unknown option,
-    a stray word and ``--``; then argv that name no leaf."""
+    """Per leaf: help, a missing option, a bad value or one that starts with "-", an abbreviation,
+    an unknown option, a repeated one, ``--opt=value``, a stray word and ``--``; then argv that
+    name no leaf."""
     for argv in SMOKE:
         words = argv[: 2 if argv[0] == "ks" else 1]
         yield argv
@@ -960,10 +1005,18 @@ def _usage_cases():
         yield argv + ["--"]
         yield argv + ["--", "extra"]
         yield words + ["--"] + argv[len(words) :]
+        yield argv + argv[len(words) : len(words) + 2]  # the first option twice
+        yield argv + ["--format", "json", "--format", "json"]
+        yield argv + ["--format=json"]
+        yield words + ["=".join(argv[len(words) : len(words) + 2])] + argv[len(words) + 2 :]
+        yield words + [argv[len(words)] + "=--"] + argv[len(words) + 2 :]
         for index, word in enumerate(argv):
+            values = ["-", "-1", "-1,2", "-.5", "--"]  # argparse reads the first two as values
             if word in ("--max", "--n", "--jobs", "--target"):
-                yield argv[: index + 1] + ["x"] + argv[index + 2 :]
-                yield argv[: index + 1] + ["5000"] + argv[index + 2 :]
+                values += ["x", "5000"]
+            if word.startswith("--"):  # every smoke option takes a value
+                for value in values:
+                    yield argv[: index + 1] + [value] + argv[index + 2 :]
     yield from (
         [], ["-h"], ["--help"], ["ks"], ["ks", "-h"], ["ks", "--help"], ["bogus"], ["ks", "bogus"],
         ["-h", "gn"], ["--", "gn", "--max", "3"], ["GN", "--max", "3"], ["gn=3"], ["ks", "--", "parse"],
@@ -977,7 +1030,8 @@ def test_leaf_parser_reads_every_argv_as_the_full_parser_does():
     for argv in _usage_cases():
         expected = outcome(tree_options, argv)
         assert outcome(lambda a: vars(cli.parse(a)), argv) == expected, argv
-        if isinstance(expected[0], int):  # an exit: run prints what the tree prints
+        if isinstance(expected[0], int):  # an exit: the reader hands it on, run prints what the tree prints
+            assert read(argv) is None, argv
             assert outcome(run, argv) == expected, argv
             exits.append(expected[0])
     assert len(exits) > 150 and set(exits) == {0, 2}
@@ -1008,6 +1062,32 @@ def test_stdout_closed_at_start_exits_1_without_a_traceback():
     command = [sys.executable, "-m", "cybordism", "gn", "--max", "3"]
     done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], capture_output=True, env=env)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+FREEZE_COUNT_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["cybordism", *sys.argv[1:]]
+runpy.run_module("cybordism", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_main_leaves_the_heap_to_the_os_but_under_dev_mode():
+    # a frozen heap is skipped by the exit-time collections; -X dev keeps the full teardown,
+    # whose ResourceWarning names a file left open, and a usage error ends as a command does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def ended(flags, argv):
+        command = [sys.executable, *flags, "-c", FREEZE_COUNT_AT_EXIT, *argv]
+        done = subprocess.run(command, capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    plain, dev = ended([], ["gn", "--max", "3"]), ended(["-X", "dev"], ["gn", "--max", "3"])
+    assert (plain[0], plain[2], dev[0], dev[2]) == (0, "True\n", 0, "False\n")
+    assert plain[1] == dev[1] and json.loads(plain[1])["status"] == "pass"
+    code, out, err = ended([], ["gn"])
+    assert (code, out, err.splitlines()[-1]) == (2, "", "True")
 
 
 def test_module_entry_point_end_to_end():

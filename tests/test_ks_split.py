@@ -25,6 +25,17 @@ SPLIT, SERIAL = 0, math.inf  # the size floor that splits every file, and none
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
 
+
+@pytest.fixture(scope="module", autouse=True)
+def two_cpus():
+    """Two CPUs, where this process may run on one alone, so that a file is split as it is on two;
+    there the processes are not placed, as no second CPU can be had."""
+    with pytest.MonkeyPatch.context() as patch:
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            patch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+        yield
+
 ARGVS = (
     ["parse"],
     ["parse", "--strict"],
@@ -310,6 +321,59 @@ def test_leaving_early_kills_and_reaps_the_child(tmp_path):
     [pid] = pids
     with pytest.raises(ChildProcessError):  # reaped already
         os.waitpid(pid, os.WNOHANG)
+
+
+def items(runs) -> list:
+    return [item for run in runs for item in run]
+
+
+def test_one_cpu_keeps_the_file_serial(tmp_path, monkeypatch):
+    # a child that shares its parent's CPU only slows the parse
+    path = sample_file(tmp_path)
+    with open(path, encoding="utf-8") as handle:
+        serial = items(toricdata.parse_ks_runs(handle))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    with mock.patch.object(toricdata, "_SPLIT_FLOOR", SPLIT), forks() as pids:
+        assert items(toricdata.parse_ks_file_runs(str(path))) == serial
+    assert pids == []
+
+
+def test_the_child_takes_the_cpus_its_parent_leaves_and_the_mask_comes_back(tmp_path, monkeypatch):
+    # a host that does not balance load leaves a forked child on its parent's CPU, so each process
+    # places itself; the child's call is made in the child, so the calls are logged to a file
+    log = tmp_path / "placed.txt"
+
+    def place(pid, cpus):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(json.dumps([os.getpid(), pid, sorted(cpus)]) + "\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2, 7}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", place, raising=False)
+    path, me = sample_file(tmp_path, 100), os.getpid()
+
+    def placed(consume) -> tuple[list, list]:
+        """The children forked while ``consume`` takes the runs, and the calls made, by process."""
+        log.write_text("")
+        with mock.patch.object(toricdata, "_SPLIT_FLOOR", SPLIT), forks() as pids:
+            consume(toricdata.parse_ks_file_runs(str(path)))
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        assert all(target == 0 for _, target, _ in calls)  # each process places itself alone
+        return pids, calls
+
+    def early(runs):
+        next(runs)
+        runs.close()
+
+    pids, calls = placed(items)  # the whole walk, with the child's runs
+    assert calls == [[me, 0, [2]], [pids[0], 0, [5, 7]], [me, 0, [2, 5, 7]]]
+    cases = {"early": placed(early)}
+    with mock.patch.object(toricdata, "_ship", lambda *args: os._exit(1)):
+        cases["failed"] = placed(items)
+    with mock.patch.object(os, "fork", side_effect=OSError(11, "Resource temporarily unavailable")):
+        cases["no fork"] = placed(items)
+    for case, (pids, calls) in cases.items():
+        assert [cpus for pid, _, cpus in calls if pid == me] == [[2], [2, 5, 7]], case
+        assert len(pids) == (case != "no fork"), case
 
 
 def test_records_past_the_split_hold_the_printed_fields(tmp_path):
